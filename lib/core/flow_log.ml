@@ -9,7 +9,6 @@ module Event = Ndroid_obs.Event
    here. *)
 type t = Ring.t
 
-let create () = Ring.create ()
 let ring t = t
 let of_ring r = r
 

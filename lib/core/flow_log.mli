@@ -14,8 +14,6 @@
 
 type t = Ndroid_obs.Ring.t
 
-val create : unit -> t
-
 val ring : t -> Ndroid_obs.Ring.t
 (** The underlying observability hub (the identity — the log {e is} the
     ring). *)

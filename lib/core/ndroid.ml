@@ -115,7 +115,7 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
   let log =
     match obs with
     | Some ring -> Flow_log.of_ring ring
-    | None -> Flow_log.create ()
+    | None -> Ndroid_obs.Ring.create ()
   in
   Device.set_obs device (Flow_log.ring log);
   (* Order matters: the DVM hook engine's listener must run before the

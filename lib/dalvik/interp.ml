@@ -453,7 +453,7 @@ and exec vm (m : Classes.method_def) (lk : Linked.t) (f : Vm.frame) =
             ride the [tracing] gate, not just [on] — the name string below
             allocates and must stay off the metrics-only path. *)
          let obs = vm.Vm.obs in
-         let traced = obs.Ndroid_obs.Ring.on && obs.Ndroid_obs.Ring.tracing in
+         let traced = Ndroid_obs.Ring.tracing obs in
          if traced then
            Ndroid_obs.Ring.emit_invoke obs (Classes.qualified_name callee);
          let cn = max callee.Classes.m_registers argc in

@@ -3,9 +3,10 @@
     One vocabulary for everything NDroid can narrate about a run: Dalvik
     method spans, JNI crossings, SourcePolicy firings, taint assignments,
     sink reports, GC, pipeline phases, raw machine-trace entries, and
-    free-form log lines.  Events are preallocated mutable records with int
-    fields — the ring rewrites them in place, so the hot path allocates
-    nothing (strings stored in events are shared, never copied). *)
+    free-form log lines.  Events are mutable records with int fields — the
+    ring allocates them as it fills and then rewrites them in place, so a
+    ring at capacity allocates nothing per event (strings stored in events
+    are shared, never copied). *)
 
 type kind =
   | K_log  (** free-form flow-log line (in [e_name]) *)

@@ -1,7 +1,7 @@
 module E = Event
 
 type t = {
-  cells : Event.record array;
+  mutable cells : Event.record array;
   cap : int;
   mutable next : int;
   mutable total : int;
@@ -12,9 +12,13 @@ type t = {
   metrics : Metrics.t;
 }
 
+(* Cells a fresh ring starts with.  Most analyses emit a few dozen events,
+   so paying for the full capacity up front would dominate their cost. *)
+let initial_cells = 64
+
 let create ?(capacity = 16384) ?(tracing = false) () =
   let cap = max 16 capacity in
-  { cells = Array.init cap (fun _ -> Event.fresh_record ());
+  { cells = Array.init (min cap initial_cells) (fun _ -> Event.fresh_record ());
     cap;
     next = 0;
     total = 0;
@@ -55,8 +59,21 @@ let clear t =
   t.total <- 0;
   t.lines <- 0
 
-(* hot-path cell acquisition: rewrite the next preallocated record *)
+(* Double the cell array, up to [cap].  Only reached before the first
+   wrap, when the live window is exactly [cells.(0 .. next - 1)], so the
+   old cells keep their indices. *)
+let grow t =
+  let old = t.cells in
+  let n = Array.length old in
+  t.cells <-
+    Array.init (min t.cap (2 * n)) (fun i ->
+        if i < n then Array.unsafe_get old i else Event.fresh_record ())
+
+(* hot-path cell acquisition: rewrite the next cell in place.  [next]
+   wraps at [cap], never earlier, so it only meets the end of a shorter
+   array while the ring is still filling. *)
 let cell t kind =
+  if t.next = Array.length t.cells then grow t;
   let c = Array.unsafe_get t.cells t.next in
   t.next <- (if t.next + 1 = t.cap then 0 else t.next + 1);
   c.E.e_seq <- t.total;
@@ -180,13 +197,20 @@ let emit_sb_compile t ~addr ~insns =
 let emit_summary_apply t ~name ~taint =
   if t.on then point t E.K_summary_apply ~name ~detail:"" ~addr:0 ~taint
 
-(* ---- iteration, oldest first over the live window ---- *)
+(* ---- reading ---- *)
+
+(* [next = total mod cap] always ([clear] resets both, [cell] advances
+   both), and the array is shorter than [cap] only while [total] has not
+   passed its length, so seq [i] sits at [cells.(i mod cap)] whatever the
+   array's current length. *)
+let seq_cell t i =
+  if i < t.total - size t || i >= t.total then
+    invalid_arg "Ring.seq_cell: seq outside the live window";
+  t.cells.(i mod t.cap)
 
 let iter t f =
-  let live = size t in
-  let first = (t.next - live + (2 * t.cap)) mod t.cap in
-  for i = 0 to live - 1 do
-    f t.cells.((first + i) mod t.cap)
+  for i = t.total - size t to t.total - 1 do
+    f t.cells.(i mod t.cap)
   done
 
 let fold f init t =

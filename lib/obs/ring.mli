@@ -1,9 +1,11 @@
-(** The observability hub: a fixed-capacity ring of preallocated
-    {!Event.record}s plus a {!Metrics} registry and two gates.
+(** The observability hub: a bounded ring of reusable {!Event.record}
+    cells plus a {!Metrics} registry and two gates.
 
-    Emitters rewrite the next preallocated cell in place — no allocation,
-    no closures — so a hot loop can keep an emit call compiled in
-    unconditionally:
+    The ring starts small and doubles its cell array on demand, up to its
+    capacity; from then on it wraps, and emitters rewrite the oldest cell
+    in place.  Emitting allocates only on a doubling, never once the ring
+    is at capacity — no closures, no fresh records — so a hot loop can
+    keep an emit call compiled in unconditionally:
 
     - [on = false] (the shared {!disabled} instance) reduces every emitter
       to a load and a branch;
@@ -15,20 +17,12 @@
     taint provenance reconstruction and the exported traces all read the
     same event stream. *)
 
-type t = {
-  cells : Event.record array;
-  cap : int;
-  mutable next : int;
-  mutable total : int;  (** events ever emitted (wraparound included) *)
-  mutable lines : int;  (** renderable (flow-log) events ever emitted *)
-  mutable overwritten : int;  (** events lost to wraparound, ring lifetime *)
-  mutable on : bool;
-  mutable tracing : bool;
-  metrics : Metrics.t;
-}
+type t
 
 val create : ?capacity:int -> ?tracing:bool -> unit -> t
-(** [capacity] defaults to 16384 events; [tracing] to [false]. *)
+(** [capacity] — the most events the window holds before the oldest is
+    overwritten — defaults to 16384 (at least 16); [tracing] to [false].
+    Cells are allocated as the ring fills, not up front. *)
 
 val disabled : t
 (** Shared never-recording instance — the default hub everywhere. *)
@@ -39,7 +33,12 @@ val set_tracing : t -> bool -> unit
 val metrics : t -> Metrics.t
 val capacity : t -> int
 val total : t -> int
+(** Events emitted since creation or the last {!clear}, wraparound
+    included; the last one carries seq [total - 1]. *)
+
 val lines : t -> int
+(** Renderable (flow-log) events among {!total}. *)
+
 val size : t -> int
 (** Events currently held: [min total capacity]. *)
 
@@ -49,6 +48,8 @@ val overwritten : t -> int
     gaps stay attributable in the merged sweep metrics. *)
 
 val clear : t -> unit
+(** Empty the window and restart the seq clock at 0.  Keeps the cells
+    already allocated. *)
 
 (** {1 Emitters} — no-ops unless [on] ([emit_insn]: unless [tracing]). *)
 
@@ -89,3 +90,9 @@ val iter : t -> (Event.record -> unit) -> unit
     mutable cells — read, don't retain. *)
 
 val fold : ('a -> Event.record -> 'a) -> 'a -> t -> 'a
+
+val seq_cell : t -> int -> Event.record
+(** [seq_cell t i] is the cell holding the event of absolute seq [i]
+    ([e_seq = i]), for [total t - size t <= i < total t]; raises
+    [Invalid_argument] outside that window.  Read, don't retain: the cell
+    is rewritten once the ring wraps past it. *)

@@ -153,9 +153,7 @@ let wants tp kind =
   | [] -> true
   | cats -> List.mem (E.category kind) cats
 
-(* The ring maintains [next = total mod cap] (clear resets both), so the
-   cell holding absolute seq [i] — if it still does — is [cells.(i mod cap)].
-   Everything in [cursor, total) that wraparound has not yet reclaimed is
+(* Everything in [cursor, total) that wraparound has not yet reclaimed is
    collected in order; the reclaimed prefix counts as [missed]. *)
 let drain tp ring =
   let total = Ring.total ring in
@@ -165,10 +163,9 @@ let drain tp ring =
   end;
   let first = max tp.tp_cursor (total - Ring.size ring) in
   tp.tp_missed <- tp.tp_missed + (first - tp.tp_cursor);
-  let cap = Ring.capacity ring in
   let out = ref [] in
   for i = first to total - 1 do
-    let r = ring.Ring.cells.(i mod cap) in
+    let r = Ring.seq_cell ring i in
     if wants tp r.E.e_kind then begin
       let ev = of_record r in
       if admit tp.tp_throttle ev then out := ev :: !out

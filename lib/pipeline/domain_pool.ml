@@ -56,10 +56,10 @@ let drain_notify t =
    {!Engine.Auto} policy routes fault-bearing work to the forked engine
    instead. *)
 let worker_loop t shard =
-  (* one obs ring and one metrics registry for the worker's whole life —
-     a fresh 4096-slot ring per task is most of the forked engine's
-     per-task cost, and per-task registries would make the collector
-     merge thousands of tables while the workers still compute *)
+  (* one obs ring and one metrics registry for the worker's whole life:
+     per-task registries would make the collector merge thousands of
+     tables while the workers still compute, and the ring keeps the cells
+     it has grown instead of regrowing them for every task *)
   let ring = Ring.create ~capacity:4096 () in
   let m = Ring.metrics ring in
   Mutex.lock t.dp_lock;

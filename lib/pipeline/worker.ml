@@ -93,7 +93,9 @@ let loop task_r result_w =
            act_on_fault task.Task.t_fault;
            (* a fresh per-task hub: its metrics registry rides the result
               frame back to the parent, which merges registries across the
-              whole sweep *)
+              whole sweep.  The ring allocates its cells as the task's
+              events arrive, so a small task pays for a few dozen cells,
+              not 4096 *)
            let ring = Ring.create ~capacity:4096 () in
            let t0 = Unix.gettimeofday () in
            let report = Analysis.run ~obs:ring task in

@@ -299,7 +299,7 @@ let try_summary d jc =
           d.bridge_result <- (v, taint);
           d.summaries_applied <- d.summaries_applied + 1;
           let o = d.d_obs in
-          if o.Ndroid_obs.Ring.on then
+          if Ndroid_obs.Ring.on o then
             Ndroid_obs.Ring.emit_summary_apply o
               ~name:(Classes.qualified_name jc.jc_method)
               ~taint:(Taint.to_bits taint);
@@ -357,7 +357,7 @@ let native_dispatch d vm jm (args : Vm.tval array) =
   d.cur_call <- Some jc;
   d.pending_throw <- None;
   let o = d.d_obs in
-  let observed = o.Ndroid_obs.Ring.on in
+  let observed = Ndroid_obs.Ring.on o in
   if observed then begin
     let crossing_taint =
       Array.fold_left
@@ -559,7 +559,7 @@ let run_call_java d variant static_ ret_ty cpu mem =
   in
   d.pending_interp <- Some (full_args, jm);
   let o = d.d_obs in
-  let observed = o.Ndroid_obs.Ring.on in
+  let observed = Ndroid_obs.Ring.on o in
   if observed then begin
     let crossing_taint =
       Array.fold_left
@@ -1313,6 +1313,6 @@ let gc d =
   Ndroid_obs.Ring.emit_gc_begin o;
   Heap.compact d.d_vm.Vm.heap;
   Ndroid_obs.Ring.emit_gc_end o;
-  if o.Ndroid_obs.Ring.on then
+  if Ndroid_obs.Ring.on o then
     Ndroid_obs.Metrics.incr
       (Ndroid_obs.Metrics.counter (Ndroid_obs.Ring.metrics o) "gcs")

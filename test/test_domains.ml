@@ -295,13 +295,25 @@ let test_single_flight () =
     in
     let task = List.hd (bundled_tasks Task.Both) in
     let n = 8 in
-    for req = 0 to n - 1 do
-      Proto.Client.send c
-        (Proto.Submit
-           { sb_req = req; sb_subject = task.Task.t_subject;
-             sb_mode = task.Task.t_mode; sb_deadline = None; sb_fault = None;
-             sb_trace = false })
-    done;
+    (* the whole herd goes out in one write, so the daemon reads it in one
+       batch and admits every submit while the first is still in flight —
+       a herd sent frame by frame can lose the race to a fast analysis
+       and be answered from the warm layer instead *)
+    let herd =
+      Bytes.concat Bytes.empty
+        (List.init n (fun req ->
+             Proto.to_frame
+               (Proto.Submit
+                  { sb_req = req; sb_subject = task.Task.t_subject;
+                    sb_mode = task.Task.t_mode; sb_deadline = None;
+                    sb_fault = None; sb_trace = false })))
+    in
+    let rec write_all off =
+      if off < Bytes.length herd then
+        write_all
+          (off + Unix.write (Proto.Client.fd c) herd off (Bytes.length herd - off))
+    in
+    write_all 0;
     let coalesced = ref 0 in
     let verdicts = ref [] in
     let rec collect remaining =

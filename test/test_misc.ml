@@ -68,7 +68,7 @@ let test_taint_engine_reset () =
   Alcotest.(check bool) "sregs clean" true (Taint.is_clear (Taint_engine.sreg e 5))
 
 let test_flow_log_matching () =
-  let log = Flow_log.create () in
+  let log = Ndroid_obs.Ring.create () in
   Flow_log.recordf log "SourceHandler @0x%x" 0x4A000000;
   Flow_log.recordf log "t(r2) := %a" Taint.pp Taint.contacts;
   Flow_log.record log "unrelated";

@@ -1,4 +1,5 @@
-(* The observability subsystem: ring wraparound, Chrome trace export
+(* The observability subsystem: ring wraparound and on-demand growth,
+   allocation bounds for a ring and a dynamic analysis, Chrome trace export
    balance, metrics merging, flow provenance on every bundled detection
    app, and the pool's sweep-wide metrics (including time charged to
    crashed/timed-out apps). *)
@@ -130,7 +131,7 @@ let test_jsonl_lines () =
 (* ---- flow-log shim ---- *)
 
 let test_flow_log_shim () =
-  let log = Ndroid_core.Flow_log.create () in
+  let log = Ring.create () in
   Ndroid_core.Flow_log.recordf log "JNI %s Begin" "Lcom/a;->f";
   Ring.emit_taint_reg (Ndroid_core.Flow_log.ring log) ~reg:2 ~taint:0x400;
   Ring.emit_invoke (Ndroid_core.Flow_log.ring log) "La;->m";
@@ -404,8 +405,141 @@ let test_pool_metrics_cover_timeouts () =
   Alcotest.(check bool) "lost time charged" true
     (stats.Pool.s_analyze_cpu >= 0.25)
 
+(* ---- ring growth ---- *)
+
+(* A ring starts small and doubles up to its capacity.  Emit [n] events
+   into a capacity-[cap] ring, clearing it after each event count in
+   [clears], and hold it against a list model at every clear and at the
+   end: the window is the newest [min since_clear cap] events, oldest
+   first, with contiguous seqs; [overwritten] counts every event lost to
+   wraparound over the ring's life.  Capacities up to 2,048 and counts up
+   to 3x capacity cross several doublings, before and after a wrap. *)
+let prop_ring_growth =
+  let gen =
+    QCheck.Gen.(
+      int_range 16 2048 >>= fun cap ->
+      int_range 0 (3 * cap) >>= fun n ->
+      list_size (int_range 0 3) (int_range 0 n) >|= fun clears ->
+      (cap, n, List.sort_uniq compare clears))
+  in
+  let print (cap, n, clears) =
+    Printf.sprintf "cap=%d n=%d clears=[%s]" cap n
+      (String.concat ";" (List.map string_of_int clears))
+  in
+  QCheck.Test.make ~name:"ring window survives growth and clear" ~count:200
+    (QCheck.make ~print gen)
+    (fun (cap, n, clears) ->
+      let ring = Ring.create ~capacity:cap () in
+      (* the model: payloads emitted since the last clear, newest first *)
+      let since = ref [] and count = ref 0 and overwritten = ref 0 in
+      let agrees () =
+        let count = !count in
+        let live = min count cap in
+        let expect = List.rev (List.filteri (fun i _ -> i < live) !since) in
+        let cells =
+          List.rev (Ring.fold (fun acc r -> (r.Event.e_seq, r.Event.e_name) :: acc) [] ring)
+        in
+        let first = count - live in
+        Ring.capacity ring = cap
+        && Ring.total ring = count
+        && Ring.size ring = live
+        && Ring.lines ring = count
+        && Ring.overwritten ring = !overwritten
+        && List.map snd cells = expect
+        && List.map fst cells = List.init live (fun i -> first + i)
+        && List.for_all
+             (fun i -> (Ring.seq_cell ring i).Event.e_seq = i)
+             (List.init live (fun i -> first + i))
+      in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        if List.mem i clears then begin
+          ok := !ok && agrees ();
+          Ring.clear ring;
+          since := [];
+          count := 0
+        end;
+        let payload = string_of_int i in
+        Ring.emit_log ring payload;
+        if !count >= cap then incr overwritten;
+        since := payload :: !since;
+        incr count
+      done;
+      !ok && agrees ())
+
+(* A tap drained while the ring is still filling — once before its first
+   doubling, once after — returns exactly what one drain at the end
+   returns. *)
+let prop_tap_across_growth =
+  let gen =
+    QCheck.Gen.(
+      int_range 128 2048 >>= fun cap ->
+      int_range 1 63 >>= fun k1 ->
+      int_range (65 - k1) (cap - k1) >|= fun k2 -> (cap, k1, k2))
+  in
+  QCheck.Test.make ~name:"stream: tap drains agree across a doubling"
+    ~count:100
+    (QCheck.make ~print:QCheck.Print.(triple int int int) gen)
+    (fun (cap, k1, k2) ->
+      let ring = Ring.create ~capacity:cap () in
+      let early = Stream.tap () and late = Stream.tap () in
+      let emit k =
+        for i = 1 to k do
+          if i land 1 = 0 then Ring.emit_taint_reg ring ~reg:(i land 15) ~taint:i
+          else Ring.emit_invoke ring ("La;->m" ^ string_of_int (i land 3))
+        done
+      in
+      emit k1;
+      let before = Stream.drain early ring in
+      emit k2;
+      let after = Stream.drain early ring in
+      before @ after = Stream.drain late ring
+      && Stream.tap_missed early = 0
+      && Stream.tap_missed late = 0)
+
+(* Allocation, measured in bytes rather than time: an empty ring must not
+   pay for its capacity up front, and a dynamic analysis of a bundled app
+   — whose ring holds a few dozen events — must not pay for 16,384
+   cells.  Eager preallocation costs about 1.2 MB per ring. *)
+let allocated f =
+  (* OCaml 5 folds the minor heap's allocation into the counters only at
+     a minor collection: force one on each side, or the reading lags *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  Gc.allocated_bytes () -. before
+
+let test_ring_create_allocation () =
+  let bytes = allocated (fun () -> Ring.create ()) in
+  if bytes >= 65536. then
+    Alcotest.failf "Ring.create () allocated %.0f bytes (limit 65536)" bytes
+
+let test_analysis_allocation () =
+  let run () =
+    List.iter
+      (fun (app : H.app) ->
+        ignore (Analysis.run (dynamic_task app.H.app_name)))
+      Registry.all
+  in
+  (* a first pass pays for one-time setup shared by every later run *)
+  run ();
+  let bytes = allocated run in
+  let mean_mb =
+    bytes /. float_of_int (List.length Registry.all) /. (1024. *. 1024.)
+  in
+  if mean_mb >= 0.75 then
+    Alcotest.failf "Analysis.run allocated %.2f MB per analysis (limit 0.75)"
+      mean_mb
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_ring_wraparound;
+    QCheck_alcotest.to_alcotest prop_ring_growth;
+    QCheck_alcotest.to_alcotest prop_tap_across_growth;
+    Alcotest.test_case "ring: create allocates no capacity up front" `Quick
+      test_ring_create_allocation;
+    Alcotest.test_case "analysis: dynamic run allocation bounded" `Quick
+      test_analysis_allocation;
     Alcotest.test_case "ring: disabled instance inert" `Quick
       test_ring_disabled;
     Alcotest.test_case "ring: tracing gates instruction events" `Quick
