@@ -23,8 +23,8 @@ module B = Ndroid_dalvik.Bytecode
 module A = Ndroid_android
 module Ndroid = Ndroid_core.Ndroid
 module Droidscope = Ndroid_core.Droidscope
-module Insn_taint = Ndroid_core.Insn_taint
-module Taint_engine = Ndroid_core.Taint_engine
+module Insn_taint = Ndroid_emulator.Insn_taint
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Taintdroid = Ndroid_taintdroid.Taintdroid
 module Market = Ndroid_corpus.Market
 module Stats = Ndroid_corpus.Stats
@@ -32,9 +32,24 @@ module H = Ndroid_apps.Harness
 module Cases = Ndroid_apps.Cases
 module CS = Ndroid_apps.Case_studies
 module CF = Ndroid_apps.Cfbench
+module Rj = Ndroid_report.Json
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 let now () = Unix.gettimeofday ()
+
+(* A bench bound lives only here, next to the number it checks: the bench
+   exits 1 on the first bound it misses, so a clean run is the gate. *)
+let fail msg =
+  Printf.eprintf "FAIL: %s\n" msg;
+  exit 1
+
+(* Every bench writes its record before it checks a bound, so a failing
+   run still leaves the numbers that explain the failure. *)
+let write_bench file doc =
+  let oc = open_out file in
+  output_string oc (Rj.to_string_hum doc);
+  close_out oc;
+  Printf.printf "wrote %s\n" file
 
 (* median-of-n wall time with one warmup *)
 let time_median ?(runs = 3) f =
@@ -651,28 +666,26 @@ let perf () =
   Printf.printf "taint range ops/sec:     %14.0f\n" taint_ops;
   Printf.printf "clear-map get_range/sec: %14.0f\n" clear_probes;
   Printf.printf "icache hits/misses:      %d/%d\n" hits misses;
-  let oc = open_out "BENCH_native.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"perf\",\n";
-  Printf.fprintf oc "  \"iterations_per_run\": %d,\n" perf_iterations;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, insns, dt, ips) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"insns\": %d, \"seconds\": %.6f, \
-         \"insns_per_sec\": %.0f}%s\n"
-        name insns dt ips
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"total_insns\": %d,\n" total_insns;
-  Printf.fprintf oc "  \"total_seconds\": %.6f,\n" total_dt;
-  Printf.fprintf oc "  \"insns_per_sec\": %.0f,\n" agg;
-  Printf.fprintf oc "  \"taint_range_ops_per_sec\": %.0f,\n" taint_ops;
-  Printf.fprintf oc "  \"clear_map_get_range_per_sec\": %.0f,\n" clear_probes;
-  Printf.fprintf oc "  \"icache_hits\": %d,\n" hits;
-  Printf.fprintf oc "  \"icache_misses\": %d\n}\n" misses;
-  close_out oc;
-  Printf.printf "wrote BENCH_native.json\n"
+  write_bench "BENCH_native.json"
+    (Rj.Obj
+       [ ("experiment", Rj.Str "perf");
+         ("iterations_per_run", Rj.Int perf_iterations);
+         ("workloads",
+          Rj.List
+            (List.map
+               (fun (name, insns, dt, ips) ->
+                 Rj.Obj
+                   [ ("name", Rj.Str name); ("insns", Rj.Int insns);
+                     ("seconds", Rj.Float dt);
+                     ("insns_per_sec", Rj.Float ips) ])
+               rows));
+         ("total_insns", Rj.Int total_insns);
+         ("total_seconds", Rj.Float total_dt);
+         ("insns_per_sec", Rj.Float agg);
+         ("taint_range_ops_per_sec", Rj.Float taint_ops);
+         ("clear_map_get_range_per_sec", Rj.Float clear_probes);
+         ("icache_hits", Rj.Int hits);
+         ("icache_misses", Rj.Int misses) ])
 
 (* ----------------------------------------------------------- STATIC -- *)
 
@@ -693,7 +706,6 @@ module P_cache = Ndroid_pipeline.Cache
 module Server = Ndroid_pipeline.Server
 module Proto = Ndroid_pipeline.Proto
 module Stream = Ndroid_obs.Stream
-module Rj = Ndroid_report.Json
 module Verdict = Ndroid_report.Verdict
 
 (* Sweep a market slice through the pipeline and return reports in id
@@ -852,53 +864,47 @@ let static () =
     bundled_expected;
   Printf.printf "focused methods: %d | skipped bytecodes: %d\n" focused_methods
     skipped_bytecodes;
-  let oc = open_out "BENCH_static.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"static\",\n";
-  Printf.fprintf oc "  \"apps\": [\n";
-  List.iteri
-    (fun i ((app : H.app), dyn, st, (v : St_analyzer.verdict)) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"dynamic\": %b, \"static\": %b, \"flows\": %d, \
-         \"jni_sites\": %d, \"native_insns\": %d, \"rounds\": %d}%s\n"
-        app.H.app_name dyn st
-        (List.length (St_analyzer.flows v))
-        v.St_analyzer.v_jni_sites v.St_analyzer.v_native_insns
-        v.St_analyzer.v_rounds
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"static_false_negatives\": %d,\n"
-    (List.length false_negs);
-  Printf.fprintf oc "  \"static_only_detections\": %d,\n"
-    (List.length static_only);
-  Printf.fprintf oc "  \"evasion_app_flagged\": %b,\n" evasion_flagged;
-  Printf.fprintf oc "  \"market\": {\n";
-  Printf.fprintf oc "    \"slice\": %d,\n" !total;
-  Printf.fprintf oc "    \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "    \"flagged\": %d,\n" !flagged;
-  Printf.fprintf oc "    \"pruned\": %d,\n" pruned;
-  Printf.fprintf oc "    \"pruned_fraction\": %.4f,\n" pruned_frac;
-  Printf.fprintf oc "    \"known_leaky\": %d,\n" !leaky_total;
-  Printf.fprintf oc "    \"leaky_flagged\": %d,\n" !leaky_flagged;
-  Printf.fprintf oc "    \"leaky_missed\": %d,\n" market_fn;
-  Printf.fprintf oc "    \"seconds\": %.4f,\n" dt;
-  Printf.fprintf oc "    \"apps_per_sec\": %.1f\n" apps_per_sec;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"hybrid\": {\n";
-  Printf.fprintf oc "    \"slice\": %d,\n" !total;
-  Printf.fprintf oc "    \"both_seconds\": %.4f,\n" both_dt;
-  Printf.fprintf oc "    \"hybrid_seconds\": %.4f,\n" hybrid_dt;
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" speedup;
-  Printf.fprintf oc "    \"flagged\": %d,\n" hybrid_flagged;
-  Printf.fprintf oc "    \"verdict_diffs\": %d,\n" !verdict_diffs;
-  Printf.fprintf oc "    \"leaky_missed\": %d,\n" !hybrid_missed;
-  Printf.fprintf oc "    \"bundled_detections\": %d,\n" bundled_detected;
-  Printf.fprintf oc "    \"bundled_expected\": %d,\n" bundled_expected;
-  Printf.fprintf oc "    \"focused_methods\": %d,\n" focused_methods;
-  Printf.fprintf oc "    \"skipped_bytecodes\": %d\n" skipped_bytecodes;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_static.json\n";
+  write_bench "BENCH_static.json"
+    (Rj.Obj
+       [ ("experiment", Rj.Str "static");
+         ("apps",
+          Rj.List
+            (List.map
+               (fun ((app : H.app), dyn, st, (v : St_analyzer.verdict)) ->
+                 Rj.Obj
+                   [ ("name", Rj.Str app.H.app_name); ("dynamic", Rj.Bool dyn);
+                     ("static", Rj.Bool st);
+                     ("flows", Rj.Int (List.length (St_analyzer.flows v)));
+                     ("jni_sites", Rj.Int v.St_analyzer.v_jni_sites);
+                     ("native_insns", Rj.Int v.St_analyzer.v_native_insns);
+                     ("rounds", Rj.Int v.St_analyzer.v_rounds) ])
+               rows));
+         ("static_false_negatives", Rj.Int (List.length false_negs));
+         ("static_only_detections", Rj.Int (List.length static_only));
+         ("evasion_app_flagged", Rj.Bool evasion_flagged);
+         ("market",
+          Rj.Obj
+            [ ("slice", Rj.Int !total); ("jobs", Rj.Int jobs);
+              ("flagged", Rj.Int !flagged); ("pruned", Rj.Int pruned);
+              ("pruned_fraction", Rj.Float pruned_frac);
+              ("known_leaky", Rj.Int !leaky_total);
+              ("leaky_flagged", Rj.Int !leaky_flagged);
+              ("leaky_missed", Rj.Int market_fn);
+              ("seconds", Rj.Float dt);
+              ("apps_per_sec", Rj.Float apps_per_sec) ]);
+         ("hybrid",
+          Rj.Obj
+            [ ("slice", Rj.Int !total);
+              ("both_seconds", Rj.Float both_dt);
+              ("hybrid_seconds", Rj.Float hybrid_dt);
+              ("speedup", Rj.Float speedup);
+              ("flagged", Rj.Int hybrid_flagged);
+              ("verdict_diffs", Rj.Int !verdict_diffs);
+              ("leaky_missed", Rj.Int !hybrid_missed);
+              ("bundled_detections", Rj.Int bundled_detected);
+              ("bundled_expected", Rj.Int bundled_expected);
+              ("focused_methods", Rj.Int focused_methods);
+              ("skipped_bytecodes", Rj.Int skipped_bytecodes) ]) ]);
   if false_negs <> [] then begin
     List.iter
       (fun ((app : H.app), _, _, v) ->
@@ -906,41 +912,35 @@ let static () =
           app.H.app_name app.H.expected_sink;
         Format.eprintf "%a@." St_report.pp_verdict v)
       false_negs;
-    exit 1
+    fail
+      (Printf.sprintf "%d static false negatives over the scenario apps"
+         (List.length false_negs))
   end;
-  if not evasion_flagged then begin
-    Printf.eprintf
-      "FAIL: control-flow evasion app not statically flagged (the static \
-       pass exists to cover exactly this dynamic blind spot)\n";
-    exit 1
-  end;
-  if market_fn > 0 then begin
-    Printf.eprintf "FAIL: %d known-leaky market apps statically missed\n"
-      market_fn;
-    exit 1
-  end;
-  if !verdict_diffs > 0 then begin
-    Printf.eprintf "FAIL: hybrid and both disagree on %d market verdicts\n"
-      !verdict_diffs;
-    exit 1
-  end;
-  if !hybrid_missed > 0 then begin
-    Printf.eprintf "FAIL: hybrid missed %d known-leaky market apps\n"
-      !hybrid_missed;
-    exit 1
-  end;
-  if bundled_detected <> bundled_expected then begin
-    Printf.eprintf "FAIL: hybrid caught %d/%d bundled detections\n"
-      bundled_detected bundled_expected;
-    exit 1
-  end;
-  if speedup < 2.0 then begin
-    Printf.eprintf
-      "FAIL: hybrid only %.2fx faster than both on the market slice \
-       (need >= 2x)\n"
-      speedup;
-    exit 1
-  end
+  if not evasion_flagged then
+    fail
+      "control-flow evasion app not statically flagged (the static pass \
+       exists to cover exactly this dynamic blind spot)";
+  if market_fn > 0 then
+    fail
+      (Printf.sprintf "%d known-leaky market apps statically missed"
+         market_fn);
+  if !verdict_diffs > 0 then
+    fail
+      (Printf.sprintf "hybrid and both disagree on %d market verdicts"
+         !verdict_diffs);
+  if !hybrid_missed > 0 then
+    fail
+      (Printf.sprintf "hybrid missed %d known-leaky market apps"
+         !hybrid_missed);
+  if bundled_detected <> bundled_expected then
+    fail
+      (Printf.sprintf "hybrid caught %d/%d bundled detections" bundled_detected
+         bundled_expected);
+  if speedup < 2.0 then
+    fail
+      (Printf.sprintf
+         "hybrid only %.2fx faster than both on the market slice (need >= 2x)"
+         speedup)
 
 (* --------------------------------------------------------- PIPELINE -- *)
 
@@ -1487,15 +1487,7 @@ let pipeline () =
              ("cold_speedup", Rj.Float engines_speedup);
              ("bit_identical", Rj.Bool engines_identical) ]) ]
   in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc (Rj.to_string_hum doc);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_pipeline.json\n";
-  let fail msg =
-    Printf.eprintf "FAIL: %s\n" msg;
-    exit 1
-  in
+  write_bench "BENCH_pipeline.json" doc;
   if not identical then
     fail "verdicts differ between --jobs 1 and --jobs N";
   (* the acceptance bar: >= 2.5x at 4 jobs.  Two workers can at best halve
@@ -1514,7 +1506,13 @@ let pipeline () =
       (Printf.sprintf "warm cache answered %d/%d from disk"
          sw.Pool.s_cache_hits slice);
   if not cache_identical then fail "cached reports differ from computed ones";
-  (* the service bars *)
+  (* the service bars: warm requests come from the in-process warm layer
+     (every one cached, >= 1000 req/s: at most 1 ms each) with nothing shed
+     at nominal load and verdicts bit-identical to batch analyze.  The warm
+     path is gated on its own cost, not on its ratio to the cold path, which
+     falls whenever the cold path gets faster.  The overload run must shed
+     explicitly; it loses no request by construction, because [sweep] fails
+     the bench on any request left unanswered. *)
   if not serve_identical then
     fail "serve verdicts differ from batch analyze";
   if cold_shed + warm_shed > 0 then
@@ -1529,12 +1527,13 @@ let pipeline () =
     fail
       (Printf.sprintf "warm serve throughput %.0f req/s < 1000 req/s"
          warm_rps);
-  if warm_cold_ratio < 5.0 then
-    fail
-      (Printf.sprintf "warm/cold serve ratio %.1fx < 5x" warm_cold_ratio);
   if overload_shed = 0 then
     fail "overload run shed nothing (depth bound did not engage)";
-  (* the engine bars *)
+  (* the engine bars: on the cold sweep the in-process engine pays no fork
+     and no wire marshaling while the forked engine pays wire time, and that
+     retired tax keeps the domains engine >= 1.25x faster with bit-identical
+     verdicts; single-flight admission must collapse a herd of identical
+     submits into one analysis *)
   if not engines_identical then
     fail "fork and domain engines produced different verdicts";
   if not (ed_cold.Pool.s_fork = 0.0 && ed_cold.Pool.s_wire = 0.0
@@ -1549,7 +1548,10 @@ let pipeline () =
     fail "single-flight coalesced nothing (identical submits each ran)";
   if not sf_identical then
     fail "single-flight verdicts differ across waiters";
-  (* the streaming bars *)
+  (* the streaming bars: a live subscriber draining every frame must cost
+     the sweep <= 5% wall clock, lose no analysis and leave the verdicts
+     bit-identical; a wedged subscriber behind a tiny outbound bound sheds
+     frames but never costs a verdict *)
   if not stream_identical then
     fail "live-subscribed sweep changed the verdicts";
   if stream_lost > 0 then
@@ -1962,15 +1964,7 @@ let dalvik () =
              ("obs_ring_taint_on", row_json obs_on);
              ("throughput_ratio", Rj.Float obs_ratio) ]) ]
   in
-  let oc = open_out "BENCH_dalvik.json" in
-  output_string oc (Rj.to_string_hum doc);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_dalvik.json\n";
-  let fail msg =
-    Printf.eprintf "FAIL: %s\n" msg;
-    exit 1
-  in
+  write_bench "BENCH_dalvik.json" doc;
   (* acceptance bar: the resolve-once fast path must clear 3x over the seed
      interpreter on the Java-heavy workload, tracking on *)
   if speedup_on < 3.0 then

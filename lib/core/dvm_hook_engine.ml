@@ -3,6 +3,7 @@ module Device = Ndroid_runtime.Device
 module Machine = Ndroid_emulator.Machine
 module Layout = Ndroid_emulator.Layout
 module Multilevel = Ndroid_emulator.Multilevel
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
 module Vm = Ndroid_dalvik.Vm

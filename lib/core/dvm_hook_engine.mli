@@ -23,7 +23,7 @@ val attach :
   ?use_multilevel:bool ->
   ?gate:(unit -> bool) ->
   Ndroid_runtime.Device.t ->
-  Taint_engine.t ->
+  Ndroid_emulator.Taint_engine.t ->
   Flow_log.t ->
   t
 (** Wire the engine into the device's machine.  [use_multilevel] defaults

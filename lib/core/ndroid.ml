@@ -3,6 +3,8 @@ module Device = Ndroid_runtime.Device
 module Machine = Ndroid_emulator.Machine
 module Tracer = Ndroid_emulator.Tracer
 module Superblock = Ndroid_emulator.Superblock
+module Taint_engine = Ndroid_emulator.Taint_engine
+module Insn_taint = Ndroid_emulator.Insn_taint
 module Summary = Ndroid_summary.Summary
 module Classes = Ndroid_dalvik.Classes
 module Vm = Ndroid_dalvik.Vm

@@ -5,9 +5,10 @@
       information flow in the Java context", Sec. VI);
     - the {!Dvm_hook_engine} (five JNI hook groups + multilevel hooking);
     - the {!Syslib_hook_engine} (Table VI summaries, Table VII sinks);
-    - the instruction tracer running {!Insn_taint} (Table V) over
-      third-party native code only;
-    - the {!Taint_engine} (shadow registers + byte-granularity taint map);
+    - the instruction tracer running {!Ndroid_emulator.Insn_taint}
+      (Table V) over third-party native code only;
+    - the {!Ndroid_emulator.Taint_engine} (shadow registers +
+      byte-granularity taint map);
     and installs the two device policies: data entering Java from native
     carries the engine's taint, and a native method's return value carries
     the union of TaintDroid's black-box rule and the tracked taint of
@@ -63,7 +64,7 @@ val attach :
     or native function in the set.  An empty focus disables gating. *)
 
 val device : t -> Ndroid_runtime.Device.t
-val engine : t -> Taint_engine.t
+val engine : t -> Ndroid_emulator.Taint_engine.t
 val log : t -> Flow_log.t
 val stats : t -> stats
 

@@ -2,6 +2,7 @@ module Taint = Ndroid_taint.Taint
 module Device = Ndroid_runtime.Device
 module Classes = Ndroid_dalvik.Classes
 module Cpu = Ndroid_arm.Cpu
+module Taint_engine = Ndroid_emulator.Taint_engine
 
 type t = {
   method_address : int;

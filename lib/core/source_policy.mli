@@ -31,7 +31,7 @@ type t = {
 val of_jni_call : Ndroid_runtime.Device.jni_call -> t
 (** Build from the bridge's captured crossing. *)
 
-val apply : t -> Taint_engine.t -> Ndroid_arm.Cpu.t -> unit
+val apply : t -> Ndroid_emulator.Taint_engine.t -> Ndroid_arm.Cpu.t -> unit
 (** The policy handler: write r0-r3 taints into the shadow registers and
     the stack-argument taints into the taint map at the current SP. *)
 

@@ -2,6 +2,7 @@ module Taint = Ndroid_taint.Taint
 module Device = Ndroid_runtime.Device
 module Machine = Ndroid_emulator.Machine
 module Cpu = Ndroid_arm.Cpu
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Memory = Ndroid_arm.Memory
 module A = Ndroid_android
 module Ring = Ndroid_obs.Ring

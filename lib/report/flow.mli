@@ -3,7 +3,7 @@
     The static supergraph analyzer and the dynamic sink monitor used to
     report flows with two unrelated record types; this is the single shape
     both now produce.  Field names keep the static analyzer's [f_]
-    convention so [Ndroid_static.Flow] can re-export this type verbatim.
+    convention.
 
     A flow may carry a provenance chain: ordered hops from the source,
     through Dalvik registers and the JNI crossing, along native taint

@@ -29,7 +29,12 @@ let float_repr f =
     (* shortest representation that round-trips *)
     let s = Printf.sprintf "%.12g" f in
     let s' = Printf.sprintf "%.17g" f in
-    if float_of_string s = f then s else s'
+    if float_of_string s = f then s
+    else if Float.is_integer f && not (String.contains s' 'e') then
+      (* an integral float below 1e17 prints as bare digits, which the
+         parser would read back as an [Int] *)
+      s' ^ ".0"
+    else s'
 
 let sort_fields fields =
   List.sort (fun (a, _) (b, _) -> String.compare a b) fields

@@ -8,6 +8,7 @@ module Sources = Ndroid_android.Sources
 module Sinks = Ndroid_android.Sinks
 module Classifier = Ndroid_corpus.Classifier
 module Apk = Ndroid_corpus.Apk
+module Flow = Ndroid_report.Flow
 
 type input = {
   in_name : string;

@@ -51,7 +51,7 @@ val analyze_apk : Ndroid_corpus.Apk.t -> verdict
     {!Ndroid_arm.Sofile}; classification comes from the shared
     {!Ndroid_corpus.Classifier} core. *)
 
-val flows : verdict -> Flow.t list
+val flows : verdict -> Ndroid_report.Flow.t list
 (** The flows of a [Flagged] result, [] otherwise. *)
 
 val flagged : verdict -> bool

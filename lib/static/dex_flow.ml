@@ -4,6 +4,7 @@ module Taint = Ndroid_taint.Taint
 module T = Taint
 module Sources = Ndroid_android.Sources
 module Sinks = Ndroid_android.Sinks
+module Flow = Ndroid_report.Flow
 
 type ctx = {
   dx_cg : Callgraph.t;

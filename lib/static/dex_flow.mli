@@ -7,8 +7,9 @@
     exception.  Interprocedural edges follow the {!Callgraph}: app
     bytecode methods are analyzed transitively (memoized per argument
     taint), catalogued framework sources return their tag, catalogued
-    sinks report a {!Flow.t}, and [native] methods cross the JNI boundary
-    through the supplied callback — the supergraph's Java→native edge. *)
+    sinks report a {!Ndroid_report.Flow.t}, and [native] methods cross the
+    JNI boundary through the supplied callback — the supergraph's
+    Java→native edge. *)
 
 module Taint = Ndroid_taint.Taint
 
@@ -16,7 +17,7 @@ type ctx
 
 val make :
   cg:Callgraph.t ->
-  record:(Flow.t -> unit) ->
+  record:(Ndroid_report.Flow.t -> unit) ->
   native_call:(Ndroid_dalvik.Classes.method_def -> Taint.t list ->
                ctrl:Taint.t -> Taint.t) ->
   ctx

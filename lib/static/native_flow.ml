@@ -3,6 +3,7 @@ module T = Taint
 module Insn = Ndroid_arm.Insn
 module Syscalls = Ndroid_android.Syscalls
 module Jni_names = Ndroid_jni.Jni_names
+module Flow = Ndroid_report.Flow
 
 type lib = {
   nf_name : string;

@@ -41,7 +41,7 @@ type env = {
   e_upcall : string -> string -> Taint.t list -> Taint.t;
       (** [Call*Method] back-edge into Java: class, method, argument
           taints → return taint (the supergraph's native→Java edge) *)
-  e_record : Flow.t -> unit;  (** sink-flow callback *)
+  e_record : Ndroid_report.Flow.t -> unit;  (** sink-flow callback *)
 }
 
 val analyze_entry :

@@ -1,6 +1,7 @@
 module Classifier = Ndroid_corpus.Classifier
 module Json = Ndroid_report.Json
 module Verdict = Ndroid_report.Verdict
+module Flow = Ndroid_report.Flow
 
 let pp_verdict ppf (v : Analyzer.verdict) =
   Format.fprintf ppf "%s: %s@." v.Analyzer.v_name

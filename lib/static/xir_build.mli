@@ -21,7 +21,7 @@ val record_upcall_source :
 val record_upcall_sink :
   facts -> lib:string -> entry:string -> sink:string -> site:string -> unit
 (** An upcall that resolved to a catalogued sink ([sink]/[site] exactly as
-    the recorded {!Flow.t} spells them). *)
+    the recorded {!Ndroid_report.Flow.t} spells them). *)
 
 val record_native_sink :
   facts -> lib:string -> entry:string -> sym:string -> sink:string -> unit

@@ -6,7 +6,7 @@ module Machine = Ndroid_emulator.Machine
 module Layout = Ndroid_emulator.Layout
 module Dexdump = Ndroid_dalvik.Dexdump
 module Taint = Ndroid_taint.Taint
-module Taint_engine = Ndroid_core.Taint_engine
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Flow_log = Ndroid_core.Flow_log
 
 let has_substring hay needle =

@@ -56,6 +56,77 @@ let test_json_roundtrip () =
           (Verdict.report_equal r r'))
     reports
 
+(* Both printers must round-trip every document up to key order: strings
+   with quotes, backslashes and control bytes, and finite floats over their
+   whole range, integral ones at or above 1e15 included.  Non-finite floats
+   have no JSON spelling and are left out. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:
+        (frequency
+           [ (1, oneofl [ '"'; '\\'; '\n'; '\000'; '\031' ]); (3, char) ])
+      (int_bound 8)
+  in
+  let finite_float =
+    frequency
+      [ ( 2,
+          map
+            (fun b ->
+              let f = Int64.float_of_bits b in
+              if Float.is_finite f then f else 0.0)
+            ui64 );
+        (1, map Float.round (float_range (-1e18) 1e18));
+        (1, float_range (-1e6) 1e6) ]
+  in
+  let leaf =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) finite_float;
+        map (fun s -> Json.Str s) str ]
+  in
+  let distinct_keys fields =
+    List.rev
+      (List.fold_left
+         (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+         [] fields)
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           let child = list_size (int_bound 4) (self (n / 4)) in
+           frequency
+             [ (1, leaf);
+               (1, map (fun l -> Json.List l) child);
+               ( 1,
+                 map
+                   (fun fields -> Json.Obj (distinct_keys fields))
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) ) ])
+
+let rec json_sorted = function
+  | Json.List l -> Json.List (List.map json_sorted l)
+  | Json.Obj fields ->
+    Json.Obj
+      (List.sort
+         (fun (a, _) (b, _) -> String.compare a b)
+         (List.map (fun (k, v) -> (k, json_sorted v)) fields))
+  | j -> j
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: both printers round-trip" ~count:500
+    (QCheck.make json_gen ~print:Json.to_string)
+    (fun j ->
+      let back print =
+        match Json.of_string (print j) with
+        | Ok j' -> json_sorted j' = json_sorted j
+        | Error _ -> false
+      in
+      back Json.to_string && back Json.to_string_hum)
+
 let test_verdict_normalize () =
   Alcotest.(check bool) "empty flagged is clean" true
     (Verdict.equal (Verdict.Flagged []) Verdict.Clean);
@@ -293,4 +364,5 @@ let suite =
     Alcotest.test_case "cache: corrupt entry is a miss" `Quick
       test_cache_corrupt_entry;
     Alcotest.test_case "cache: digests separate modes and apps" `Quick
-      test_digest_sensitivity ]
+      test_digest_sensitivity;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip ]

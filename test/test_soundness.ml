@@ -18,8 +18,8 @@ module Memory = Ndroid_arm.Memory
 module Exec = Ndroid_arm.Exec
 module Asm = Ndroid_arm.Asm
 module Taint = Ndroid_taint.Taint
-module Taint_engine = Ndroid_core.Taint_engine
-module Insn_taint = Ndroid_core.Insn_taint
+module Taint_engine = Ndroid_emulator.Taint_engine
+module Insn_taint = Ndroid_emulator.Insn_taint
 
 let scratch_base = 0x00050000
 let input_reg = 2

@@ -225,16 +225,16 @@ let test_flow_contexts () =
   let v4 = St.Drive.verdict_of_app case4 in
   Alcotest.(check bool) "case4 flags a native sendto flow" true
     (List.exists
-       (fun (f : St.Flow.t) ->
-         f.St.Flow.f_sink = "sendto" && f.St.Flow.f_context = St.Flow.Native_ctx)
+       (fun (f : Flow.t) ->
+         f.Flow.f_sink = "sendto" && f.Flow.f_context = Flow.Native_ctx)
        (St.Analyzer.flows v4));
   let case3 = List.find (fun a -> a.H.app_name = "case3") Ndroid_apps.Cases.all in
   let v3 = St.Drive.verdict_of_app case3 in
   Alcotest.(check bool) "case3 flags a Java-context Socket.send flow" true
     (List.exists
-       (fun (f : St.Flow.t) ->
-         f.St.Flow.f_sink = "Socket.send"
-         && f.St.Flow.f_context = St.Flow.Java_ctx)
+       (fun (f : Flow.t) ->
+         f.Flow.f_sink = "Socket.send"
+         && f.Flow.f_context = Flow.Java_ctx)
        (St.Analyzer.flows v3))
 
 let test_clean_apps_stay_clean () =
