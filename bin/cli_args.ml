@@ -5,7 +5,6 @@
    drift. *)
 
 module Task = Ndroid_pipeline.Task
-module Engine = Ndroid_pipeline.Engine
 module Market = Ndroid_corpus.Market
 module Registry = Ndroid_apps.Registry
 
@@ -85,12 +84,6 @@ let mode_flags =
 let jobs_arg ~default ~doc =
   Arg.(value & opt int default & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let timeout_arg =
-  Arg.(value & opt (some float) None
-       & info [ "timeout" ] ~docv:"SEC"
-           ~doc:"Per-app wall-clock budget; an app overrunning it records \
-                 a timeout verdict instead of wedging the sweep.")
-
 let cache_arg =
   Arg.(value & opt (some string) None
        & info [ "cache" ] ~docv:"DIR"
@@ -115,17 +108,3 @@ let apps_after_socket =
 
 let deadline_arg ~doc =
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SEC" ~doc)
-
-let engine_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Engine.of_name s) in
-  let print fmt e = Format.pp_print_string fmt (Engine.name e) in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(value & opt engine_conv Engine.Auto
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Worker engine for cache misses: $(b,fork) (process \
-                 isolation: crash containment, timeouts, fault \
-                 injection), $(b,domains) (shared-memory OCaml domains: \
-                 no fork or serialization tax per task), or $(b,auto) \
-                 (default; domains unless the run needs isolation).")

@@ -16,7 +16,6 @@ module Market = Ndroid_corpus.Market
 module Stats = Ndroid_corpus.Stats
 module Registry = Ndroid_apps.Registry
 module Task = Ndroid_pipeline.Task
-module Engine = Ndroid_pipeline.Engine
 module Pool = Ndroid_pipeline.Pool
 module Cache = Ndroid_pipeline.Cache
 module Server = Ndroid_pipeline.Server
@@ -285,28 +284,23 @@ let stats_to_json ~bytecodes ~jni_crossings ~focused_methods
          ("focused_methods", Json.Int focused_methods);
          ("skipped_bytecodes", Json.Int skipped_bytecodes) ])
 
-let cmd_analyze names mode json jobs timeout cache_dir market engine
-    trace_file =
+let cmd_analyze names mode json jobs cache_dir market trace_file =
   match Cli_args.tasks_of_request names market mode with
   | Error e ->
     prerr_endline e;
     1
   | Ok tasks ->
     let cache = Option.map (fun dir -> Cache.create ~dir) cache_dir in
-    (* the trace ring lives in this process; worker forks could not share
-       it, so --trace always takes the in-process path *)
+    (* one ring records the whole sweep, so --trace always takes the
+       sequential path *)
     let obs =
       Option.map (fun _ -> Ring.create ~capacity:262144 ~tracing:true ())
         trace_file
     in
-    if obs <> None && (jobs > 1 || timeout <> None) then
-      prerr_endline
-        "note: --trace records in-process; ignoring --jobs/--timeout";
+    if obs <> None && jobs > 1 then
+      prerr_endline "note: --trace records sequentially; ignoring --jobs";
     let reports, stats_json =
-      if
-        obs <> None
-        || (engine = Engine.Auto && jobs <= 1 && timeout = None)
-      then begin
+      if obs <> None || jobs <= 1 then begin
         let progress ~done_ ~total = Printf.eprintf "\r%d/%d%!" done_ total in
         let progress = if json then None else Some progress in
         let t0 = Unix.gettimeofday () in
@@ -332,7 +326,7 @@ let cmd_analyze names mode json jobs timeout cache_dir market engine
         let progress = if json then None else Some progress in
         let reports, s =
           Pool.run
-            (Pool.config ~jobs ?timeout ?cache ?progress ~engine ())
+            (Pool.config ~jobs ?cache ?progress ())
             tasks
         in
         if progress <> None then Printf.eprintf "\n%!";
@@ -343,11 +337,8 @@ let cmd_analyze names mode json jobs timeout cache_dir market engine
             ~skipped_bytecodes:s.Pool.s_skipped_bytecodes
             ~analyze_seconds:s.Pool.s_analyze_cpu
             [ ("wall_seconds", Json.Float s.Pool.s_wall);
-              ("engine", Json.Str s.Pool.s_engine);
               ("cache_pass_seconds", Json.Float s.Pool.s_cache_pass);
               ("digest_seconds", Json.Float s.Pool.s_digest);
-              ("fork_seconds", Json.Float s.Pool.s_fork);
-              ("wire_seconds", Json.Float s.Pool.s_wire);
               ("collect_seconds", Json.Float s.Pool.s_collect);
               ("cache_hits", Json.Int s.Pool.s_cache_hits);
               ("from_workers", Json.Int s.Pool.s_from_workers);
@@ -395,7 +386,7 @@ let cmd_analyze names mode json jobs timeout cache_dir market engine
 
 (* ---- the service: serve and submit ----------------------------------- *)
 
-let cmd_serve socket jobs cache_dir depth max_clients deadline engine quiet
+let cmd_serve socket jobs cache_dir depth max_clients deadline quiet
     stream_buf =
   let cache = Option.map (fun dir -> Cache.create ~dir) cache_dir in
   let log =
@@ -403,7 +394,7 @@ let cmd_serve socket jobs cache_dir depth max_clients deadline engine quiet
     else Some (fun s -> Printf.eprintf "ndroid serve: %s\n%!" s)
   in
   match
-    Server.config ~socket ~jobs ?cache ~depth ~max_clients ?deadline ~engine
+    Server.config ~socket ~jobs ?cache ~depth ~max_clients ?deadline
       ~stream_buf ?log ()
   with
   | exception Invalid_argument e ->
@@ -413,13 +404,11 @@ let cmd_serve socket jobs cache_dir depth max_clients deadline engine quiet
     let st = Server.serve cfg in
     Printf.eprintf
       "ndroid serve: %d requests, %d served (%d cached, %d coalesced), %d \
-       analyses, %d shed, %d crashed, %d timeouts, %d respawns, %d \
-       evictions, %d clients, %d subscribers, %d trace events (%d \
+       analyses, %d shed, %d crashed, %d timeouts, %d evictions, %d clients, %d subscribers, %d trace events (%d \
        throttled, %d lost)\n%!"
       st.Server.sv_requests st.Server.sv_served st.Server.sv_cache_hits
       st.Server.sv_coalesced st.Server.sv_analyses st.Server.sv_shed
-      st.Server.sv_crashed st.Server.sv_timeouts st.Server.sv_respawns
-      st.Server.sv_evictions st.Server.sv_clients st.Server.sv_subscribers
+      st.Server.sv_crashed st.Server.sv_timeouts st.Server.sv_evictions st.Server.sv_clients st.Server.sv_subscribers
       st.Server.sv_trace_events st.Server.sv_trace_dropped
       st.Server.sv_trace_lost;
     0
@@ -742,21 +731,21 @@ let analyze_cmd =
              ~doc:"Record an execution trace of the sweep: Chrome \
                    trace_event JSON (open in chrome://tracing or Perfetto), \
                    or raw line-delimited events if $(docv) ends in .jsonl.  \
-                   Forces in-process execution.")
+                   Forces sequential execution.")
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Analyze apps through the unified pipeline: static supergraph, \
              dynamic NDroid run, or both, optionally sharded over worker \
-             processes with per-app timeouts and crash isolation.  Exits 3 \
-             if any app is flagged.")
+             domains.  Every analysis is bounded by a fixed work budget: \
+             an app that spends it records a timeout verdict.  Exits 3 if \
+             any app is flagged.")
     Term.(const cmd_analyze $ Cli_args.apps_pos $ Cli_args.mode_flags
           $ Cli_args.json_flag
           $ Cli_args.jobs_arg ~default:1
-              ~doc:"Shard the corpus across $(docv) analysis workers \
-                    (processes or domains; see $(b,--engine))."
-          $ Cli_args.timeout_arg $ Cli_args.cache_arg $ Cli_args.market_arg
-          $ Cli_args.engine_arg $ trace_arg)
+              ~doc:"Shard the corpus across $(docv) analysis worker \
+                    domains."
+          $ Cli_args.cache_arg $ Cli_args.market_arg $ trace_arg)
 
 let serve_cmd =
   let depth_arg =
@@ -791,14 +780,13 @@ let serve_cmd =
              Ctrl-C.")
     Term.(const cmd_serve $ Cli_args.socket_pos
           $ Cli_args.jobs_arg ~default:2
-              ~doc:"Keep $(docv) persistent analysis workers (processes or \
-                    domains; see $(b,--engine))."
+              ~doc:"Keep $(docv) analysis worker domains."
           $ Cli_args.cache_arg $ depth_arg $ max_clients_arg
           $ Cli_args.deadline_arg
-              ~doc:"Default per-request wall-clock budget; an overrunning \
-                    request records a timeout verdict.  Forces the forked \
-                    engine."
-          $ Cli_args.engine_arg $ quiet_arg $ stream_buf_arg)
+              ~doc:"Default per-request wall-clock deadline; a request \
+                    still running when it passes is cancelled and records \
+                    a timeout verdict, which is never cached."
+          $ quiet_arg $ stream_buf_arg)
 
 let submit_cmd =
   let trace_follow_arg =
@@ -816,7 +804,7 @@ let submit_cmd =
     Term.(const cmd_submit $ Cli_args.socket_pos $ Cli_args.apps_after_socket
           $ Cli_args.market_arg $ Cli_args.mode_flags $ Cli_args.json_flag
           $ Cli_args.deadline_arg
-              ~doc:"Per-request wall-clock budget (overrides the daemon's \
+              ~doc:"Per-request wall-clock deadline (overrides the daemon's \
                     default)."
           $ trace_follow_arg)
 

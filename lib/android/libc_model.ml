@@ -1,5 +1,6 @@
 module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
+module Budget = Ndroid_budget.Budget
 
 type ctx = {
   fs : Filesystem.t;
@@ -481,6 +482,83 @@ let fn_recv ctx cpu mem =
      Memory.write_string mem buf data;
      ret cpu (String.length data)
    with Invalid_argument _ -> ret cpu (-1 land mask32))
+
+(* --- work charges --- *)
+
+(* A host call costs the machine one budget unit, whatever it does.  A
+   function whose work grows with a size its arguments choose also pays
+   one unit per byte, before it runs, so that no argument buys unbounded
+   work for one unit: memset(p, 0, -1) runs the budget out instead of
+   writing 4 GiB.  C strings count up to [Memory.read_cstring]'s 64 KiB
+   cap, scanned without copying. *)
+
+let cstr_cap = 65536
+
+let cstr_len mem addr =
+  let rec go i =
+    if i >= cstr_cap || Memory.read_u8 mem (addr + i) = 0 then i else go (i + 1)
+  in
+  go 0
+
+(* a product of two 32-bit arguments, which can exceed [max_int] *)
+let times a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+let charge_strings args b cpu mem =
+  List.iter (fun i -> Budget.charge b (cstr_len mem (arg cpu mem i))) args
+
+(* the format string and each [%s] argument, paid one string at a time:
+   the total can far exceed the budget *)
+let charge_format ~fmt ~first b cpu mem =
+  let fmt_addr = arg cpu mem fmt in
+  let n = cstr_len mem fmt_addr in
+  Budget.charge b n;
+  let argi = ref first in
+  let i = ref 0 in
+  while !i + 1 < n do
+    if Memory.read_u8 mem (fmt_addr + !i) = Char.code '%' then begin
+      (match Char.chr (Memory.read_u8 mem (fmt_addr + !i + 1)) with
+       | 's' ->
+         Budget.charge b (cstr_len mem (arg cpu mem !argi));
+         incr argi
+       | 'd' | 'u' | 'x' | 'c' -> incr argi
+       | _ -> ());
+      i := !i + 2
+    end
+    else incr i
+  done
+
+let charge name =
+  let sized f = Some (fun b cpu mem -> Budget.charge b (f (arg cpu mem))) in
+  match name with
+  | "memcpy" | "memmove" | "memset" | "memcmp" | "memchr" | "write" | "send" ->
+    sized (fun a -> a 2)
+  | "calloc" -> sized (fun a -> times (a 0) (a 1))
+  | "realloc" -> sized (fun a -> a 1)
+  | "fwrite" -> sized (fun a -> times (a 1) (a 2))
+  | "strncpy" ->
+    Some (fun b cpu mem ->
+        Budget.charge b (arg cpu mem 2);
+        charge_strings [ 1 ] b cpu mem)
+  | "sendto" ->
+    Some (fun b cpu mem ->
+        Budget.charge b (arg cpu mem 2);
+        charge_strings [ 4 ] b cpu mem)
+  | "strstr" ->
+    (* the naive search compares the needle at every haystack offset *)
+    Some (fun b cpu mem ->
+        Budget.charge b
+          (times (cstr_len mem (arg cpu mem 0)) (cstr_len mem (arg cpu mem 1))))
+  | "strlen" | "strchr" | "strrchr" | "strdup" | "atoi" | "atol" | "strtoul"
+  | "fputs" | "open" | "dlopen" ->
+    Some (charge_strings [ 0 ])
+  | "strcpy" | "connect" | "dlsym" -> Some (charge_strings [ 1 ])
+  | "strcmp" | "strncmp" | "strcasecmp" | "strncasecmp" | "strcat" | "fopen"
+  | "sscanf" ->
+    Some (charge_strings [ 0; 1 ])
+  | "sprintf" | "vsprintf" -> Some (charge_format ~fmt:1 ~first:2)
+  | "snprintf" | "vsnprintf" -> Some (charge_format ~fmt:2 ~first:3)
+  | "fprintf" | "vfprintf" -> Some (charge_format ~fmt:1 ~first:2)
+  | _ -> None
 
 let functions ctx =
   let f name handler = (name, fun cpu mem -> handler ctx cpu mem) in

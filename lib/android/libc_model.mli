@@ -23,6 +23,19 @@ val functions : ctx -> (string * (Cpu.t -> Memory.t -> unit)) list
     from r0-r3 and the stack per the AAPCS, perform the behaviour, and
     leave the result in r0 (r0:r1 for doubles). *)
 
+val charge :
+  string -> (Ndroid_budget.Budget.t -> Cpu.t -> Memory.t -> unit) option
+(** The work charge of the named function, to mount with it
+    ([Machine.mount_host_fn ~charge]): one budget unit per byte
+    its arguments ask it to touch — the length of a [memcpy], each C
+    string it scans, the output of a [sprintf] — paid before the call.
+    [None] for functions whose work is fixed or bounded by data already
+    paid for (a [fread] returns at most what was written). *)
+
+val cstr_len : Memory.t -> int -> int
+(** The length of the C string at that address, up to
+    [Memory.read_cstring]'s 64 KiB cap, read without copying. *)
+
 val arg : Cpu.t -> Memory.t -> int -> int
 (** AAPCS argument [i]: r0-r3 then the stack. *)
 

@@ -15,8 +15,23 @@ let all : Harness.app list =
 
 let names = List.map (fun a -> a.Harness.app_name) all
 
+(* Apps registered at run time, newest first.  Atomic, so a worker
+   domain reading it while the main domain registers sees a whole list. *)
+let registered : Harness.app list Atomic.t = Atomic.make []
+
 let find name =
-  List.find_opt (fun a -> a.Harness.app_name = name) all
+  let named a = a.Harness.app_name = name in
+  match List.find_opt named all with
+  | Some _ as app -> app
+  | None -> List.find_opt named (Atomic.get registered)
+
+let rec register app =
+  if find app.Harness.app_name <> None then
+    invalid_arg
+      (Printf.sprintf "Registry.register: %S is already taken"
+         app.Harness.app_name);
+  let old = Atomic.get registered in
+  if not (Atomic.compare_and_set registered old (app :: old)) then register app
 
 let find_exn name =
   match find name with

@@ -7,6 +7,13 @@
 val all : Harness.app list
 val names : string list
 val find : string -> Harness.app option
+(** A bundled app, or else one added by {!register}. *)
+
+val register : Harness.app -> unit
+(** Make an app that is not bundled resolvable by {!find} — and so
+    analyzable by name through the pipeline — for tests that bring their
+    own app.  It is not added to {!all} or {!names}.
+    @raise Invalid_argument if the name is taken. *)
 
 val find_exn : string -> Harness.app
 (** @raise Invalid_argument with the known names when absent. *)

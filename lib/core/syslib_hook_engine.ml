@@ -20,7 +20,7 @@ type t = {
 let summaries_applied t = t.summaries
 let sink_checks t = t.sink_checks
 
-let cstr_len mem addr = String.length (Memory.read_cstring mem addr) + 1
+let cstr_len mem addr = A.Libc_model.cstr_len mem addr + 1
 
 let note t = t.summaries <- t.summaries + 1
 

@@ -1,4 +1,5 @@
 module Taint = Ndroid_taint.Taint
+module Budget = Ndroid_budget.Budget
 
 type kind =
   | String of string
@@ -20,6 +21,7 @@ type t = {
   base : int;
   mutable epoch : int;
   mutable allocations : int;
+  budget : Budget.t;
 }
 
 let create ?(base = 0x41000000) () =
@@ -29,7 +31,8 @@ let create ?(base = 0x41000000) () =
     bump = base;
     base;
     epoch = 0;
-    allocations = 0 }
+    allocations = 0;
+    budget = Budget.current () }
 
 (* Object "sizes" for address spacing: enough that direct pointers look like
    real, distinct allocations in the logs. *)
@@ -53,9 +56,15 @@ let alloc h kind =
   h.allocations <- h.allocations + 1;
   o
 
-let alloc_string h s = alloc h (String s)
+(* Strings and arrays pay one budget unit per char or element, before
+   they exist: the app chooses their sizes, and one bytecode or host call
+   must not buy unbounded memory. *)
+let alloc_string h s =
+  Budget.charge h.budget (String.length s);
+  alloc h (String s)
 
 let alloc_array h elem_type n =
+  Budget.charge h.budget n;
   alloc h (Array { elem_type; elems = Array.make n Dvalue.zero })
 
 let alloc_instance h cls nfields =
@@ -80,7 +89,9 @@ let string_value h id =
 let set_string_value h id s =
   let o = get h id in
   match o.kind with
-  | String _ -> o.kind <- String s
+  | String _ ->
+    Budget.charge h.budget (String.length s);
+    o.kind <- String s
   | Array _ | Instance _ -> invalid_arg "Heap.set_string_value: not a string"
 
 let compact h =

@@ -30,10 +30,17 @@ type t
 
 val create : ?base:int -> unit -> t
 (** [base] is the start of the direct-pointer region (default 0x41000000,
-    matching the addresses in the paper's logs, e.g. [0x412a3320]). *)
+    matching the addresses in the paper's logs, e.g. [0x412a3320]).  The
+    heap draws on the work budget that is
+    {!Ndroid_budget.Budget.current} when it is created. *)
 
 val alloc_string : t -> string -> obj
+
 val alloc_array : t -> string -> int -> obj
+(** A string or array pays one budget unit per char or element before it
+    is allocated ({!set_string_value} likewise pays the new length).
+    @raise Ndroid_budget.Budget.Exhausted when the budget cannot pay *)
+
 val alloc_instance : t -> string -> int -> obj
 (** [alloc_instance h cls nfields] allocates with [nfields] value slots. *)
 

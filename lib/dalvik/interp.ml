@@ -1,6 +1,14 @@
+module Budget = Ndroid_budget.Budget
 module Taint = Ndroid_taint.Taint
 
 exception Wrong_arity of string
+
+(* One unit of the work budget per bytecode, spent inline: across
+   libraries [Budget.spend] would be a call on every bytecode. *)
+let[@inline] spend (b : Budget.t) =
+  let n = b.Budget.tick - 1 in
+  b.Budget.tick <- n;
+  if n < 0 then Budget.refill b
 
 let exec_binop op a b =
   let open Int32 in
@@ -105,11 +113,29 @@ let prep_frame (f : Vm.frame) nregs nlocals track =
 (* Fast path: pre-linked code, inline caches, pooled frames.           *)
 (* ------------------------------------------------------------------ *)
 
+(* An intrinsic is a host method whose work grows with the strings and
+   arrays it is handed, so besides its invoke it pays one budget unit per
+   char or element of each — as a modeled libc call pays per byte. *)
+let charge_args vm (args : Vm.tval array) =
+  for i = 0 to Array.length args - 1 do
+    match fst args.(i) with
+    | Dvalue.Obj id -> (
+      match (Heap.get vm.Vm.heap id).Heap.kind with
+      | Heap.String s -> Budget.charge vm.Vm.budget (String.length s)
+      | Heap.Array { elems; _ } ->
+        Budget.charge vm.Vm.budget (Array.length elems)
+      | Heap.Instance _ -> ()
+      | exception Not_found -> ())
+    | Dvalue.Null | Dvalue.Int _ | Dvalue.Long _ | Dvalue.Float _
+    | Dvalue.Double _ -> ()
+  done
+
 let call_non_bytecode vm (m : Classes.method_def) args =
   match m.Classes.m_body with
   | Classes.Intrinsic key -> (
     match Hashtbl.find_opt vm.Vm.intrinsics key with
     | Some f ->
+      charge_args vm args;
       let r = f vm args in
       vm.Vm.ret <- r;
       r
@@ -216,6 +242,7 @@ and exec vm (m : Classes.method_def) (lk : Linked.t) (f : Vm.frame) =
   let handlers = lk.Linked.l_handlers in
   let ncode = Array.length code in
   let counters = vm.Vm.counters in
+  let budget = vm.Vm.budget in
   let track = vm.Vm.track_taint in
   let pending_exception = ref (Dvalue.Null, Taint.clear) in
   let get r = regs.(r) in
@@ -243,6 +270,7 @@ and exec vm (m : Classes.method_def) (lk : Linked.t) (f : Vm.frame) =
               (Classes.qualified_name m)));
     cur_pc := pc;
     counters.Vm.bytecodes <- counters.Vm.bytecodes + 1;
+    spend budget;
     (match vm.Vm.on_bytecode with Some hook -> hook m src.(pc) | None -> ());
     match code.(pc) with
     | Linked.Nop -> step (pc + 1)
@@ -641,6 +669,7 @@ and run_bytecode_reference vm m args code handlers =
                              (Classes.qualified_name m)));
     cur_pc := pc;
     vm.Vm.counters.Vm.bytecodes <- vm.Vm.counters.Vm.bytecodes + 1;
+    spend vm.Vm.budget;
     (match vm.Vm.on_bytecode with Some f -> f m code.(pc) | None -> ());
     match code.(pc) with
     | Bytecode.Nop -> step (pc + 1)

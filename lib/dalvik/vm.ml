@@ -46,6 +46,7 @@ type t = {
   mutable depth : int;
   mutable link_roots : (Classes.method_def * Linked.resolved) list;
   mutable obs : Ndroid_obs.Ring.t;
+  budget : Ndroid_budget.Budget.t;
 }
 
 let err fmt = Format.kasprintf (fun s -> raise (Dvm_error s)) fmt
@@ -66,7 +67,8 @@ let create () =
     frames = Array.init 16 (fun _ -> { f_regs = [||]; f_taints = [||] });
     depth = 0;
     link_roots = [];
-    obs = Ndroid_obs.Ring.disabled }
+    obs = Ndroid_obs.Ring.disabled;
+    budget = Ndroid_budget.Budget.current () }
 
 let define_class vm cls =
   if Hashtbl.mem vm.classes cls.Classes.c_name then

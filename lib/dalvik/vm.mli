@@ -76,6 +76,9 @@ type t = {
   mutable obs : Ndroid_obs.Ring.t;
       (** observability hub; {!Ndroid_obs.Ring.disabled} by default, so
           emit calls in the interpreter cost one load and one branch *)
+  budget : Ndroid_budget.Budget.t;
+      (** the work budget every interpreted bytecode spends one unit of;
+          {!Ndroid_budget.Budget.current} when the VM was created *)
 }
 
 val create : unit -> t

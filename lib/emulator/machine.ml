@@ -4,6 +4,7 @@ module Insn = Ndroid_arm.Insn
 module Exec = Ndroid_arm.Exec
 module Icache = Ndroid_arm.Icache
 module Asm = Ndroid_arm.Asm
+module Budget = Ndroid_budget.Budget
 
 type host_fn = { hf_name : string; hf_lib : string; hf_addr : int }
 
@@ -21,11 +22,19 @@ type event =
 
 exception Runaway of int
 
+(* A mounted host function: [charge] spends the budget units its
+   arguments ask for beyond the one every call costs (see [step]). *)
+type mounted = {
+  mo_fn : host_fn;
+  mo_charge : Budget.t -> Cpu.t -> Memory.t -> unit;
+  mo_run : Cpu.t -> Memory.t -> unit;
+}
+
 type t = {
   m_cpu : Cpu.t;
   m_mem : Memory.t;
-  host_by_addr : (int, host_fn * (Cpu.t -> Memory.t -> unit)) Hashtbl.t;
-  host_by_name : (string, host_fn * (Cpu.t -> Memory.t -> unit)) Hashtbl.t;
+  host_by_addr : (int, mounted) Hashtbl.t;
+  host_by_name : (string, mounted) Hashtbl.t;
   (* mounted-address bounds: the trace loop's cheap "can this PC possibly be
      a host function?" gate, so guest code pays no hashtable hit per step *)
   mutable host_lo : int;
@@ -36,6 +45,7 @@ type t = {
   mutable host_calls : int;
   mutable libs : (string * int * int) list;
   mutable fuel : int;  (* set by the outermost call_native; -1 = unlimited *)
+  budget : Budget.t;  (* the analysis's work budget; see [burn] *)
   mutable host_work : int;
   scratch : Exec.run;  (* reused per-step result; never escapes [step] *)
   ev_insn : event;  (* preallocated Ev_insn cell, fields rewritten per step *)
@@ -63,6 +73,7 @@ let create () =
     host_calls = 0;
     libs = Layout.regions;
     fuel = -1;
+    budget = Budget.current ();
     host_work = 2500;
     scratch = Exec.run_create ();
     ev_insn = Ev_insn { addr = 0; insn = Insn.bx_lr };
@@ -93,21 +104,24 @@ let icache_stats t =
   | Some c -> (Icache.hits c, Icache.misses c)
   | None -> (0, 0)
 
-let mount_host_fn t ~lib ~name ~addr run =
+let no_charge _ _ _ = ()
+
+let mount_host_fn t ~lib ~name ~addr ?(charge = no_charge) run =
   if Hashtbl.mem t.host_by_addr addr then
     invalid_arg (Printf.sprintf "host address 0x%x already mounted" addr);
   let hf = { hf_name = name; hf_lib = lib; hf_addr = addr } in
-  Hashtbl.replace t.host_by_addr addr (hf, run);
-  Hashtbl.replace t.host_by_name name (hf, run);
+  let m = { mo_fn = hf; mo_charge = charge; mo_run = run } in
+  Hashtbl.replace t.host_by_addr addr m;
+  Hashtbl.replace t.host_by_name name m;
   if addr < t.host_lo then t.host_lo <- addr;
   if addr > t.host_hi then t.host_hi <- addr;
   hf
 
-let host_fn_addr t name = (fst (Hashtbl.find t.host_by_name name)).hf_addr
+let host_fn_addr t name = (Hashtbl.find t.host_by_name name).mo_fn.hf_addr
 
 let find_host_fn t addr =
   match Hashtbl.find_opt t.host_by_addr addr with
-  | Some (hf, _) -> Some hf
+  | Some m -> Some m.mo_fn
   | None -> None
 
 (* Listeners live in an array: attaching stays in attachment order without
@@ -144,7 +158,8 @@ let emit_branch t ~from_ ~to_ ~is_call =
   end
 
 let call_host t ~from_ name =
-  let hf, run = Hashtbl.find t.host_by_name name in
+  let { mo_fn = hf; mo_charge; mo_run = run } = Hashtbl.find t.host_by_name name in
+  mo_charge t.budget t.m_cpu t.m_mem;
   t.host_calls <- t.host_calls + 1;
   burn_host_work t;
   if has_listeners t then begin
@@ -168,12 +183,20 @@ let load_program t prog =
 
 let mask32 = 0xFFFFFFFF
 
+(* Every guest instruction and host call spends one unit of fuel and one
+   unit of the work budget: the fuel bounds one [call_native], the budget
+   the whole analysis, Dalvik bytecodes included.  The budget unit is
+   spent inline, as [Budget.spend] does it. *)
 let burn t =
   let f = t.fuel in
   if f >= 0 then begin
     if f = 0 then raise (Runaway t.insn_count);
     t.fuel <- f - 1
-  end
+  end;
+  let b = t.budget in
+  let n = b.Budget.tick - 1 in
+  b.Budget.tick <- n;
+  if n < 0 then Budget.refill b
 
 (* One scheduling quantum: either dispatch a host function or execute one
    guest instruction.  Returns unit; the caller polls the PC.
@@ -287,8 +310,11 @@ let step t =
       Hashtbl.find_opt t.host_by_addr pc
     else None
   with
-  | Some (hf, run) ->
+  | Some { mo_fn = hf; mo_charge; mo_run = run } ->
     burn t;
+    (* before the listeners: they repeat the call's range work (taint
+       copies, sink inspection) *)
+    mo_charge t.budget t.m_cpu t.m_mem;
     t.host_calls <- t.host_calls + 1;
     burn_host_work t;
     if has_listeners t then emit t (Ev_host_pre hf);

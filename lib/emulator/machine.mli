@@ -61,10 +61,14 @@ val icache_stats : t -> int * int
 (** (hits, misses). *)
 
 val mount_host_fn : t -> lib:string -> name:string -> addr:int ->
+  ?charge:(Ndroid_budget.Budget.t -> Cpu.t -> Memory.t -> unit) ->
   (Cpu.t -> Memory.t -> unit) -> host_fn
 (** Mount a host function at a guest address.  The handler must follow the
-    AAPCS (result in r0).  @raise Invalid_argument if the address is
-    taken. *)
+    AAPCS (result in r0).  A call costs one unit of the work budget; a
+    function whose work grows with a size its arguments choose also gets
+    a [charge] that spends those units ({!Ndroid_budget.Budget.charge}),
+    run before the call's listeners and body.
+    @raise Invalid_argument if the address is taken. *)
 
 val host_fn_addr : t -> string -> int
 (** Address of a mounted function by name. @raise Not_found. *)
@@ -99,7 +103,12 @@ val call_native : t -> ?fuel:int -> addr:int -> args:int list ->
 (** Call a guest function: set up arguments per the AAPCS, run until it
     returns, give back (r0, r1).  Re-entrant — host functions may call back
     into guest code.  [fuel] (default 50M) bounds the instruction count.
-    @raise Runaway when the fuel runs out. *)
+    Every instruction and host call also spends one unit of the work
+    budget that was {!Ndroid_budget.Budget.current} when the machine was
+    created.
+    @raise Runaway when the fuel runs out.
+    @raise Ndroid_budget.Budget.Exhausted when the work budget runs out.
+    @raise Ndroid_budget.Budget.Cancelled when its cancel flag is set. *)
 
 val enable_superblocks :
   ?engine:Taint_engine.t ->

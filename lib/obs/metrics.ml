@@ -88,9 +88,9 @@ let to_json t =
   in
   Json.Obj [ ("counters", Json.Obj cs); ("histograms", Json.Obj hs) ]
 
-(* Direct registry-into-registry merge: the domain engine hands whole
+(* Direct registry-into-registry merge: the worker domains hand whole
    registries back by reference, so aggregation pays no serialize/parse
-   tax the way the forked engine's JSON frames do. *)
+   tax. *)
 let merge t src =
   Hashtbl.iter (fun k c -> add (counter t k) c.c_value) src.counters;
   Hashtbl.iter
@@ -102,39 +102,3 @@ let merge t src =
         (fun i n -> dst.h_buckets.(i) <- dst.h_buckets.(i) + n)
         h.h_buckets)
     src.histograms
-
-(* Absorb a snapshot previously produced by [to_json] — the worker side of
-   the pipeline serializes its registry into each Wire result frame and the
-   parent merges it here. *)
-let merge_json t j =
-  (match Json.member "counters" j with
-   | Some (Json.Obj fields) ->
-     List.iter
-       (fun (k, v) ->
-         match v with Json.Int n -> add (counter t k) n | _ -> ())
-       fields
-   | _ -> ());
-  match Json.member "histograms" j with
-  | Some (Json.Obj fields) ->
-    List.iter
-      (fun (k, v) ->
-        let h = histogram t k in
-        (match Json.member "count" v with
-         | Some (Json.Int n) -> h.h_count <- h.h_count + n
-         | _ -> ());
-        (match Json.member "sum" v with
-         | Some (Json.Float f) -> h.h_sum <- h.h_sum +. f
-         | Some (Json.Int n) -> h.h_sum <- h.h_sum +. float_of_int n
-         | _ -> ());
-        match Json.member "buckets" v with
-        | Some (Json.List items) ->
-          List.iteri
-            (fun i item ->
-              match item with
-              | Json.Int n when i < n_buckets ->
-                h.h_buckets.(i) <- h.h_buckets.(i) + n
-              | _ -> ())
-            items
-        | _ -> ())
-      fields
-  | _ -> ()

@@ -45,9 +45,5 @@ val to_json : t -> Ndroid_report.Json.t
 (** [{"counters": {...}, "histograms": {name: {count, sum, buckets}}}] *)
 
 val merge : t -> t -> unit
-(** [merge t src] adds [src]'s counters and histograms into [t] without a
-    serialization roundtrip — the in-process (domain) pipeline engine's
-    collect path. *)
-
-val merge_json : t -> Ndroid_report.Json.t -> unit
-(** Add a [to_json] snapshot into this registry (sums everything). *)
+(** [merge t src] adds [src]'s counters and histograms into [t] — the
+    worker pool's collect path. *)

@@ -6,6 +6,7 @@ module App_model = Ndroid_corpus.App_model
 module Verdict = Ndroid_report.Verdict
 module Json = Ndroid_report.Json
 module Vm = Ndroid_dalvik.Vm
+module Budget = Ndroid_budget.Budget
 
 (* Bump on any verdict-affecting analyzer change: it invalidates every
    cached result at once. *)
@@ -17,9 +18,20 @@ let version = "4"
 let use_superblocks = false
 let use_summaries = true
 
+(* The work budget of one analysis, in units of Dalvik bytecodes plus
+   native instructions and host calls, plus one per byte, char or element
+   a host call touches or the heap allocates: the one bound on every
+   analysis, whichever path runs it.  Sizing: the largest bundled dynamic
+   analysis spends 1,764 units (control-flow-evasion: 4 bytecodes, 1,680
+   instructions, 5 host calls, 75 bytes and chars) and the 1,200-app
+   market slice in Dynamic mode at most 113 per app, so the bound leaves
+   over 1,000x headroom over both; on a 2-core x86-64 box a native [b .] loop spends it in about
+   0.3 s of traced emulation, a Dalvik [goto] loop in about 0.01 s. *)
+let work_budget = 2_000_000
+
 let feature_key =
-  Printf.sprintf "superblocks=%b;summaries=%b;focus=slice" use_superblocks
-    use_summaries
+  Printf.sprintf "superblocks=%b;summaries=%b;focus=slice;budget=%d"
+    use_superblocks use_summaries work_budget
 
 let enable_summary_cache cache =
   (* Native taint summaries persist as raw entries beside the verdict
@@ -164,13 +176,45 @@ let run_exn ?obs (task : Task.t) =
       hybrid ~static_v:v ~static_r:(St.Report.to_report v)
         ~run_dynamic:(fun ~focus -> Market_exec.run ?obs ~focus model))
 
-let run ?obs task =
-  try run_exn ?obs task
-  with exn ->
-    crashed_report
-      ~app:(Task.subject_name task.Task.t_subject)
-      ~analysis:(Task.mode_name task.Task.t_mode)
-      (Printf.sprintf "analyzer exception: %s" (Printexc.to_string exn))
+(* Fault markers act here, inside the budget, so every path that runs a
+   task — inline, the pool, the daemon — gives a fault-marked task the
+   same answer: a crash raises into the handler below, a hang spins on
+   the budget until it runs out, a sleep waits on the cancel flag. *)
+let act_on_fault budget = function
+  | None -> ()
+  | Some Task.Crash -> failwith "injected crash"
+  | Some Task.Hang ->
+    while true do
+      Budget.spend budget
+    done
+  | Some (Task.Sleep s) -> Budget.sleep budget s
+
+(* The report and whether a cancel cut the analysis short: a cancel is a
+   wall-clock fact about this run, not about the app, so its [Timeout]
+   must never be cached. *)
+let run_outcome ?obs ?cancel (task : Task.t) =
+  let budget = Budget.create ?cancel work_budget in
+  let failed verdict =
+    { Verdict.r_app = Task.subject_name task.Task.t_subject;
+      r_analysis = Task.mode_name task.Task.t_mode;
+      r_verdict = verdict;
+      r_meta = [] }
+  in
+  match
+    Budget.with_budget budget (fun () ->
+        act_on_fault budget task.Task.t_fault;
+        run_exn ?obs task)
+  with
+  | report -> (report, false)
+  | exception Budget.Exhausted -> (failed Verdict.Timeout, false)
+  | exception Budget.Cancelled -> (failed Verdict.Timeout, true)
+  | exception exn ->
+    ( failed
+        (Verdict.Crashed
+           (Printf.sprintf "analyzer exception: %s" (Printexc.to_string exn))),
+      false )
+
+let run ?obs task = fst (run_outcome ?obs task)
 
 (* ---- cache keys ---- *)
 
@@ -379,8 +423,8 @@ let service_digest sv task =
     d
 
 let service_find sv (task : Task.t) =
-  (* a fault marker means "really run this" (the worker acts on it);
-     serving it from cache would silently skip the injection *)
+  (* a fault marker means "really run this" ({!run} acts on it); serving
+     it from cache would silently skip the injection *)
   if task.Task.t_fault <> None then None
   else begin
     let d = service_digest sv task in
@@ -392,34 +436,35 @@ let service_find sv (task : Task.t) =
             Some report
           | None -> None)
     with
-    | Some report -> Some (report, d)
+    | Some _ as hit -> hit
     | None -> (
       (* disk probe outside the lock; a racing domain reads the same file *)
       match Option.bind sv.sv_cache (fun c -> Cache.find c ~key:d) with
-      | Some report ->
+      | Some report as hit ->
         locked sv (fun () ->
             sv.sv_hits <- sv.sv_hits + 1;
             memo_add sv.sv_memo d report);
-        Some (report, d)
+        hit
       | None -> None)
   end
 
 let service_store sv ~digest report =
   match report.Verdict.r_verdict with
-  (* crash/timeout verdicts are circumstances, not app facts *)
-  | Verdict.Crashed _ | Verdict.Timeout -> ()
+  (* a crash is a circumstance, not an app fact; a budget [Timeout] is
+     deterministic and kept like any other verdict *)
+  | Verdict.Crashed _ -> ()
   | _ ->
     locked sv (fun () -> memo_add sv.sv_memo digest report);
     (match sv.sv_cache with
      | Some c -> Cache.store c ~key:digest report
      | None -> ())
 
-let service_run sv ?obs (task : Task.t) =
+let service_run sv ?obs ?cancel (task : Task.t) =
   locked sv (fun () -> sv.sv_requests <- sv.sv_requests + 1);
   match service_find sv task with
-  | Some (report, _) -> (report, true)
+  | Some report -> (report, true)
   | None ->
-    let report = run ?obs task in
-    if task.Task.t_fault = None then
+    let report, cancelled = run_outcome ?obs ?cancel task in
+    if task.Task.t_fault = None && not cancelled then
       service_store sv ~digest:(service_digest sv task) report;
     (report, false)

@@ -12,10 +12,15 @@ val version : string
     to the static or dynamic analyzers can alter verdicts, so stale cached
     results from older binaries can never be served. *)
 
+val work_budget : int
+(** The units of work — Dalvik bytecodes plus native instructions — one
+    analysis may spend before it stops with [Timeout].  A constant: the
+    same app times out at the same point everywhere. *)
+
 val feature_key : string
 (** The dynamic path's feature switches (superblocks, native summaries,
-    focus gating), folded into every cache key so flipping one invalidates
-    exactly the results it could change. *)
+    focus gating) and {!work_budget}, folded into every cache key so
+    changing one invalidates exactly the results it could change. *)
 
 val enable_summary_cache : Cache.t -> unit
 (** Persist native taint summaries as raw entries in [cache], keyed
@@ -23,9 +28,11 @@ val enable_summary_cache : Cache.t -> unit
     pool does this automatically when configured with a cache. *)
 
 val run : ?obs:Ndroid_obs.Ring.t -> Task.t -> Ndroid_report.Verdict.report
-(** Analyze one task.  Never raises: an analyzer exception becomes a
-    [Crashed] verdict carrying the exception text.  Ignores the task's
-    fault marker (faults are acted on by the worker process, not here).
+(** Analyze one task under a fresh {!work_budget}.  Never raises: an
+    analyzer exception becomes a [Crashed] verdict carrying the exception
+    text, and a spent budget a [Timeout].  The task's fault marker acts
+    here: [Crash] raises ([Crashed]), [Hang] spends the whole budget
+    ([Timeout]), [Sleep s] waits [s] seconds.
     [obs] observes any dynamic run: the device records into it, flagged
     flows gain provenance from it, and the execution counters are mirrored
     into its metrics registry. *)
@@ -47,8 +54,8 @@ val digest : Task.t -> string
 
     A service is domain-safe: one mutex guards the memo tables and
     counters, held only across table probes — digesting, analyzing and
-    disk I/O all run unlocked — so the {!Domain_pool} engine's workers
-    share one warm layer without serializing on it.  Both memo tables
+    disk I/O all run unlocked — so the {!Domain_pool} workers share one
+    warm layer without serializing on it.  Both memo tables
     are bounded ([capacity] entries each) with second-chance eviction,
     so a long-lived daemon converges on its hottest answers instead of
     growing without limit. *)
@@ -57,28 +64,26 @@ type service
 
 val service : ?cache:Cache.t -> ?capacity:int -> unit -> service
 (** Also installs the native-summary persistence hooks on [cache]
-    ({!enable_summary_cache}), so create the service before forking any
-    workers.  [capacity] bounds each memo table (default 65536). *)
+    ({!enable_summary_cache}).  [capacity] bounds each memo table
+    (default 65536). *)
 
 val service_run :
-  service -> ?obs:Ndroid_obs.Ring.t -> Task.t ->
+  service -> ?obs:Ndroid_obs.Ring.t -> ?cancel:bool Atomic.t -> Task.t ->
   Ndroid_report.Verdict.report * bool
 (** Answer one request, from the warm layer / cache when possible
-    ([true] = served from cache).  Tasks carrying a fault marker are
-    never cache-served and never stored — a fault means "really run
-    this" — though [service_run] itself still ignores the marker (it is
-    acted on by worker processes, see {!Worker}).  Crashed/Timeout
-    reports are never stored. *)
+    ([true] = served from cache), else through {!run} and stored.
+    Setting [cancel] (from any domain) stops the run with [Timeout] at
+    its next budget check, and cuts a [Sleep] fault short — the daemon's
+    wall-clock deadlines.  Tasks
+    carrying a fault marker are never cache-served and never stored — a
+    fault means "really run this".  [Crashed] reports are never stored,
+    and neither is a [Timeout] that [cancel] caused; a [Timeout] from the
+    spent {!work_budget} is a fact about the app and is stored. *)
 
-val service_find :
-  service -> Task.t -> (Ndroid_report.Verdict.report * string) option
-(** The probe alone: the cached report and its digest, warm layer first,
-    then disk (promoting the entry into the warm layer).  [None] for
-    fault-marked tasks.  Does not count a request. *)
-
-val service_store : service -> digest:string -> Ndroid_report.Verdict.report -> unit
-(** Store a computed report under its digest (warm layer + disk);
-    Crashed/Timeout are dropped. *)
+val service_find : service -> Task.t -> Ndroid_report.Verdict.report option
+(** The probe alone: the cached report, warm layer first, then disk
+    (promoting the entry into the warm layer).  [None] for fault-marked
+    tasks.  Does not count a request. *)
 
 val service_digest : service -> Task.t -> string
 (** {!digest}, memoized per subject+mode. *)

@@ -10,8 +10,9 @@ let create ~dir =
 let path t key = Filename.concat t.dir (key ^ ".json")
 
 (* Every writer needs a distinct tmp name for the write+rename to stay
-   atomic.  The pid alone covered forked workers; domains share one pid,
-   so a process-wide counter disambiguates them. *)
+   atomic.  Domains share one pid, so a process-wide counter
+   disambiguates them; the pid separates processes sharing a cache
+   directory. *)
 let tmp_seq = Atomic.make 0
 
 let tmp_name final =

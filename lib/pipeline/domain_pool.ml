@@ -17,7 +17,7 @@ type t = {
   dp_lock : Mutex.t;
   dp_work : Condition.t;  (* signaled on submit and shutdown *)
   dp_done : Condition.t;  (* signaled on every completion *)
-  dp_queue : (int * Task.t) Shard_queue.t;
+  dp_queue : (int * Task.t * bool Atomic.t option) Shard_queue.t;
   mutable dp_next_shard : int;  (* round-robin deal over worker shards *)
   mutable dp_uncollected : int;  (* completions since the last take *)
   mutable dp_completed : completion list;  (* newest first *)
@@ -32,7 +32,7 @@ type t = {
 
 (* One byte down the self-pipe per completion batch: a select()-driven
    caller (the daemon) learns of domain completions the same way it
-   learns of worker frames, without polling.  Both ends are nonblocking;
+   learns of client frames, without polling.  Both ends are nonblocking;
    a full pipe just means a wakeup is already pending. *)
 let notify t =
   try ignore (Unix.write t.dp_notify_w (Bytes.unsafe_of_string "!") 0 1)
@@ -49,12 +49,10 @@ let drain_notify t =
   in
   go ()
 
-(* The worker body.  Identical in shape to {!Worker.loop} — per-task obs
-   ring, analyze, metrics — but the report returns by reference through
-   shared memory: no fork, no JSON, no pipe, no parse.  Fault markers are
-   not acted on (a domain cannot crash or be killed in isolation); the
-   {!Engine.Auto} policy routes fault-bearing work to the forked engine
-   instead. *)
+(* The worker body: per-task obs ring, analyze, metrics.  The report
+   returns by reference through shared memory.  Fault markers, budgets and
+   cancels all act inside {!Analysis.service_run}, so a worker domain
+   never dies with its task. *)
 let worker_loop t shard =
   (* one obs ring and one metrics registry for the worker's whole life:
      per-task registries would make the collector merge thousands of
@@ -86,27 +84,29 @@ let worker_loop t shard =
     in
     match claim () with
     | None -> ()
-    | Some ((ticket, task), trace) ->
+    | Some ((ticket, task, cancel), trace) ->
       (* the ring outlives the task (see above) but its event window must
          not: provenance reconstruction reads the live window, and stale
          events would graft one app's trace onto the next app's flows *)
       Ring.clear ring;
       let ow0 = Ring.overwritten ring in
       let t0 = Unix.gettimeofday () in
-      let report, _cached = Analysis.service_run t.dp_service ~obs:ring task in
+      let report, _cached =
+        Analysis.service_run t.dp_service ~obs:ring ?cancel task
+      in
       let dt = Unix.gettimeofday () -. t0 in
       Metrics.incr (Metrics.counter m "tasks");
       Metrics.observe (Metrics.histogram m "task_seconds") dt;
-      Metrics.observe_int
-        (Metrics.histogram m "task_bytecodes")
-        (Worker.meta_int "bytecodes" report);
+      (match report.Verdict.r_verdict with
+       | Verdict.Crashed _ -> Metrics.incr (Metrics.counter m "worker_crashes")
+       | Verdict.Timeout -> Metrics.incr (Metrics.counter m "worker_timeouts")
+       | Verdict.Clean | Verdict.Flagged _ -> ());
       Metrics.add
         (Metrics.counter m "ring_overwritten")
         (Ring.overwritten ring - ow0);
       (* a fresh tap per task: the cleared ring restarted the seq clock,
-         and per-task throttle state is what the forked engine's
-         per-task worker has — the differential test depends on the two
-         engines suppressing the same events *)
+         and per-task throttle state makes a task's stream independent of
+         which worker ran it and what it ran before *)
       let events, dropped, lost =
         match trace with
         | None -> ([], 0, 0)
@@ -141,10 +141,10 @@ let worker_loop t shard =
   next ()
 
 let create ?(domains = 1) ~service () =
-  (* cap at the runtime's recommendation (≈ cores): forked workers win by
-     overlapping blocked time, but domains share one runtime — every
-     domain beyond the core count multiplies stop-the-world minor-GC
-     synchronization instead of adding throughput *)
+  (* cap at the runtime's recommendation (≈ cores): domains share one
+     runtime, so every domain beyond the core count multiplies
+     stop-the-world minor-GC synchronization instead of adding
+     throughput *)
   let domains =
     max 1 (min domains (Domain.recommended_domain_count ()))
   in
@@ -156,7 +156,10 @@ let create ?(domains = 1) ~service () =
       dp_lock = Mutex.create ();
       dp_work = Condition.create ();
       dp_done = Condition.create ();
-      dp_queue = Shard_queue.create_empty ~shards:domains ();
+      (* unbounded: callers bound their own load — a batch is a list
+         already in memory, and the daemon hands over one task per free
+         worker slot, holding the rest behind its own admission bound *)
+      dp_queue = Shard_queue.create_empty ~shards:domains ~capacity:max_int ();
       dp_next_shard = 0;
       dp_uncollected = 0;
       dp_completed = [];
@@ -180,7 +183,7 @@ let set_trace t window =
   t.dp_trace <- window;
   Mutex.unlock t.dp_lock
 
-let submit t ~ticket task =
+let submit t ~ticket ?cancel task =
   Mutex.lock t.dp_lock;
   if t.dp_stop then begin
     Mutex.unlock t.dp_lock;
@@ -188,7 +191,10 @@ let submit t ~ticket task =
   end;
   let shard = t.dp_next_shard in
   t.dp_next_shard <- (shard + 1) mod Array.length t.dp_workers;
-  ignore (Shard_queue.push t.dp_queue ~shard (ticket, task));
+  if not (Shard_queue.push t.dp_queue ~shard (ticket, task, cancel)) then begin
+    Mutex.unlock t.dp_lock;
+    invalid_arg "Domain_pool.submit: queue is full"
+  end;
   t.dp_inflight <- t.dp_inflight + 1;
   Condition.signal t.dp_work;
   Mutex.unlock t.dp_lock

@@ -1,23 +1,14 @@
-(** The in-process worker engine: a fixed set of OCaml 5 domains pulling
-    tasks from a mutex-protected {!Shard_queue} (one shard per domain,
-    cross-shard stealing preserved) and handing
-    {!Ndroid_report.Verdict.report} values back through shared memory.
+(** The worker engine: a fixed set of OCaml 5 domains pulling tasks from
+    a mutex-protected {!Shard_queue} (one shard per domain, cross-shard
+    stealing preserved) and handing {!Ndroid_report.Verdict.report}
+    values back through shared memory — no fork, no serialization, no
+    parent-side reassembly.  All domains share the one {!Analysis.service}
+    (its own mutex makes that safe), so the warm layer deduplicates across
+    workers mid-sweep.
 
-    This is what retires the fork + wire tax on the cold path: where the
-    forked engine pays a [fork()], a JSON serialization of the task, a
-    pipe write, a pipe read and a JSON parse of the verdict for every
-    cache miss, a domain worker pays a queue pop and a list cons.  All
-    domains share the one {!Analysis.service} (its own mutex makes that
-    safe), so the warm layer deduplicates across workers mid-sweep.
-
-    What this engine {e cannot} do — and why the forked engine stays:
-    a domain shares the process, so injected fault markers are ignored
-    (acting on [Crash]/[Kill] would kill the whole pipeline; this matches
-    {!Pool.run_inline}) and there is no SIGKILL timeout — a wedged task
-    wedges its domain.  {!Engine.Auto} routes work needing isolation to
-    fork.  The two engines never share a process: OCaml 5's [Unix.fork]
-    refuses once any domain has been spawned, so spawn this pool only in
-    a process that will not fork afterwards. *)
+    A task cannot wedge its domain: {!Analysis.run} bounds it by the work
+    budget, acts on its fault marker, and turns any exception into a
+    [Crashed] verdict. *)
 
 type t
 
@@ -36,13 +27,15 @@ val create : ?domains:int -> service:Analysis.service -> unit -> t
 (** Spawn [domains] (default 1) worker domains over [service] — capped at
     [Domain.recommended_domain_count ()]: domains share one runtime, so
     oversubscribing the cores multiplies stop-the-world minor-GC
-    synchronization instead of adding throughput (forked workers, with
-    their private heaps, have no such ceiling).  {!domains} reports the
+    synchronization instead of adding throughput.  {!domains} reports the
     actual count. *)
 
-val submit : t -> ticket:int -> Task.t -> unit
-(** Enqueue one task; returns immediately.  Tickets are the caller's
-    correlation ids and need not be dense.  Raises [Invalid_argument]
+val submit : t -> ticket:int -> ?cancel:bool Atomic.t -> Task.t -> unit
+(** Enqueue one task; returns immediately.  The queue has no bound of
+    its own: a batch is already in memory, and the daemon submits one
+    task per free worker.  Tickets are the caller's correlation ids and
+    need not be dense.  Setting [cancel] stops the task's analysis with a
+    [Timeout] (see {!Analysis.service_run}).  Raises [Invalid_argument]
     after {!shutdown}. *)
 
 val wait : t -> completion list
@@ -72,7 +65,8 @@ val steals : t -> int
 
 val metrics : t -> Ndroid_obs.Metrics.t list
 (** One obs registry per worker domain, accumulated over its lifetime
-    (tasks, task_seconds, task_bytecodes, analyzer counters).  Merge them
+    (tasks, task_seconds, worker_crashes, worker_timeouts, analyzer
+    counters).  Merge them
     with {!Ndroid_obs.Metrics.merge} once nothing is in flight — reading
     while workers are mid-task can observe a half-updated histogram. *)
 

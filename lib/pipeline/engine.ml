@@ -1,23 +1,1 @@
-type t = Fork | Domains | Auto
-
-let name = function
-  | Fork -> "fork"
-  | Domains -> "domains"
-  | Auto -> "auto"
-
-let of_name = function
-  | "fork" -> Ok Fork
-  | "domains" -> Ok Domains
-  | "auto" -> Ok Auto
-  | s -> Error (Printf.sprintf "unknown engine %S (fork|domains|auto)" s)
-
-(* The two engines cannot share a process: OCaml 5's [Unix.fork] raises
-   once any domain has ever been spawned, so [Auto] resolves to exactly
-   one engine per run (batch) or per process (daemon) and never mixes.
-   Anything that needs process isolation — injected faults, SIGKILL
-   timeouts — keeps fork; everything else gets the in-process engine. *)
-let resolve t ~needs_isolation =
-  match t with
-  | Fork -> Fork
-  | Domains -> Domains
-  | Auto -> if needs_isolation then Fork else Domains
+type t = Domains

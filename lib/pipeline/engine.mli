@@ -1,25 +1,8 @@
-(** Which worker engine executes cache-missing tasks.
+(** The worker engine that executes cache-missing tasks.  There is one:
+    OCaml 5 domains over a shared {!Analysis.service} ({!Domain_pool}).
+    Every analysis is bounded by its work budget ({!Analysis.work_budget}),
+    so no engine needs to kill a worker.  The type stays only as the
+    argument of [Pool.config ?engine] and [Server.config ?engine], which
+    take it and ignore it. *)
 
-    [Fork] is the PR 3 engine: one process per worker, tasks and verdicts
-    marshaled over {!Wire} pipes.  It is the only engine that can act on
-    injected fault markers or SIGKILL an overrunning task, because the
-    unit of isolation is a process.
-
-    [Domains] is the in-process engine ({!Domain_pool}): one OCaml 5
-    domain per worker, sharing the {!Analysis.service} warm layer, with
-    no fork, no serialization and no parent-side reassembly on the
-    per-task path.  Domains cannot be SIGKILLed, so fault markers and
-    wall-clock budgets are not enforceable there.
-
-    [Auto] picks per run: fork when the work needs process isolation
-    (faults to act on, a timeout to enforce), domains otherwise.  The
-    engines never mix within a process — OCaml 5's [Unix.fork] refuses
-    to run once any domain has been spawned. *)
-
-type t = Fork | Domains | Auto
-
-val name : t -> string
-val of_name : string -> (t, string) result
-
-val resolve : t -> needs_isolation:bool -> t
-(** Never returns [Auto]. *)
+type t = Domains

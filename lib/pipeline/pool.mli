@@ -1,77 +1,47 @@
-(** The sharded worker pool: run the corpus through one of two engines and
-    collect one {!Ndroid_report.Verdict.report} per task.
+(** The sharded worker pool: run the corpus through the domain engine
+    ({!Domain_pool}) and collect one {!Ndroid_report.Verdict.report} per
+    task.
 
-    The {b forked engine} ({!Engine.Fork}) gives the three guarantees a
-    hostile market sweep needs:
+    - {b bounded apps}: every analysis runs under the work budget
+      ({!Analysis.work_budget}), so a pathological app costs one budget on
+      one worker and records [Timeout], and an analyzer exception records
+      [Crashed] — neither wedges the sweep nor loses another app's result;
+    - {b determinism}: results are ordered by task id and verdicts carry
+      no timing, and a budget [Timeout] falls at the same unit of work
+      wherever it runs, so a sweep's JSON is bit-identical across
+      [--jobs] values and across runs.
 
-    - {b crash isolation}: a worker dying on one APK yields a [Crashed]
-      verdict for that app only; the pool reaps the corpse, respawns a
-      fresh worker and keeps sweeping;
-    - {b per-app timeouts}: a worker overrunning its wall-clock budget is
-      killed, the app records [Timeout], and the replacement worker picks
-      up the next task — pathological apps cost one budget each instead of
-      wedging the sweep;
-    - {b determinism}: results are ordered by task id and verdicts carry no
-      timing, so a sweep's JSON is bit-identical across [--jobs] values and
-      across runs.
-
-    The {b domain engine} ({!Engine.Domains} → {!Domain_pool}) trades the
-    first two away for the cold path: no fork, no Wire marshaling, no
-    parent-side reassembly — tasks and verdicts move through shared
-    memory, and all workers share one {!Analysis.service} warm layer.
-    Determinism holds identically (same analyzers, same canonical
-    reports).  Fault markers and timeouts are {e ignored} under a forced
-    [Domains] engine, exactly as {!run_inline} ignores them.
-
-    {!Engine.Auto} resolves per run: fork when the run needs process
-    isolation (a timeout, an injected kill, any fault-marked task),
-    domains otherwise.  The engines never mix inside one process —
-    OCaml 5's [Unix.fork] refuses after a domain has been spawned — so a
-    process that ran a domains sweep cannot run a forked one afterwards.
-
-    Work is dealt over one {!Shard_queue} shard per worker with stealing
-    under either engine, and an optional {!Cache} answers unchanged apps
-    without dispatching them at all.  Timing lives in the aggregate
-    {!stats}, per phase. *)
+    Tasks and verdicts move through shared memory, and all workers share
+    one {!Analysis.service} warm layer.  Work is dealt over one
+    {!Shard_queue} shard per worker with stealing, and an optional
+    {!Cache} answers unchanged apps without dispatching them at all.
+    Timing lives in the aggregate {!stats}, per phase. *)
 
 type config = {
-  c_jobs : int;  (** worker processes or domains; >= 1 *)
-  c_timeout : float option;
-      (** per-app wall-clock budget, seconds (forked engine only) *)
+  c_jobs : int;  (** worker domains; >= 1 *)
   c_cache : Cache.t option;
-  c_kill_worker_after : int option;
-      (** fault injection: SIGKILL one live worker after that many worker
-          results have arrived — proves no result is lost and nothing
-          hangs when workers die under the pool (forked engine only) *)
   c_progress : (done_:int -> total:int -> unit) option;
-  c_engine : Engine.t;  (** which engine executes cache misses *)
 }
 
 val config :
-  ?jobs:int -> ?timeout:float -> ?cache:Cache.t -> ?kill_worker_after:int ->
+  ?jobs:int -> ?cache:Cache.t ->
   ?progress:(done_:int -> total:int -> unit) -> ?engine:Engine.t -> unit ->
   config
-(** [engine] defaults to {!Engine.Fork} — the library keeps the isolating
-    engine unless a caller opts in; the CLI defaults to [auto]. *)
+(** [engine] is accepted and ignored: there is one engine. *)
 
 type stats = {
   s_total : int;
-  s_engine : string;
-      (** the engine that executed this run's cache misses ("fork" or
-          "domains"), after {!Engine.Auto} resolution *)
   s_from_workers : int;
-      (** completed by the engine, either kind (includes crashed/timeout) *)
+      (** completed by the workers, whatever the verdict *)
   s_cache_hits : int;
-  s_crashed : int;  (** [Crashed] verdicts recorded by the pool *)
-  s_timeouts : int;  (** [Timeout] verdicts recorded by the pool *)
-  s_respawns : int;  (** replacement workers forked mid-sweep *)
+  s_crashed : int;  (** [Crashed] verdicts the workers returned *)
+  s_timeouts : int;  (** [Timeout] verdicts the workers returned *)
   s_steals : int;  (** cross-shard steals in the work queue *)
   s_shed : int;
       (** requests refused by admission control.  Always [0] in a batch
           sweep — the batch queue is sized to the corpus — but the field
           rides alongside the other counters so batch and service stats
           share one shape ({!Server} sheds under overload). *)
-  s_injected_kills : int;
   s_evictions : int;
       (** memo entries evicted by the service's second-chance cap — [0]
           unless the sweep outgrew {!Analysis.service}'s capacity *)
@@ -81,14 +51,7 @@ type stats = {
   s_digest : float;
       (** phase: deriving cache keys inside the cache pass — the
           attribution split that shows where a warm probe's time goes *)
-  s_fork : float;  (** phase: forking workers (initial + respawns); [0.]
-                       under the domain engine *)
-  s_wire : float;
-      (** phase: the forked engine's marshaling tax — serializing task
-          frames, parsing result frames, re-absorbing worker metrics from
-          JSON.  Identically [0.] under the domain engine, which is the
-          cold-path win measured by the bench's engine rows *)
-  s_collect : float;  (** phase: dispatch/select/collect loop *)
+  s_collect : float;  (** phase: dispatch and collect loop *)
   s_analyze_cpu : float;
       (** sum of per-task analysis seconds measured inside workers — the
           serial-equivalent work the sweep performed *)
@@ -111,12 +74,10 @@ type stats = {
           the post-hoc provenance gap, attributable instead of silent *)
   s_metrics : Ndroid_report.Json.t;
       (** the sweep-wide observability registry
-          ({!Ndroid_obs.Metrics.to_json} shape): every worker's per-task
-          registry — shipped in result frames (fork) or merged by
-          reference (domains) — combined with the parent's own counters
-          (cache hits/misses, respawns, steals, evictions, per-phase
-          timings) and histograms ([task_seconds] covers clean, crashed
-          {e and} timed-out apps) *)
+          ({!Ndroid_obs.Metrics.to_json} shape): every worker's registry
+          merged with the parent's own counters (cache hits/misses,
+          steals, evictions, per-phase timings) and histograms
+          ([task_seconds] covers clean, crashed {e and} timed-out apps) *)
 }
 
 val counters_of_reports :
@@ -134,11 +95,10 @@ val run_inline :
   ?cache:Cache.t -> ?obs:Ndroid_obs.Ring.t ->
   ?progress:(done_:int -> total:int -> unit) -> Task.t list ->
   Ndroid_report.Verdict.report array
-(** Sequential in-process execution of the same tasks (no forking, so no
-    crash isolation, no timeouts, and fault markers are ignored), built
+(** Sequential execution of the same tasks on the calling domain, built
     on {!Analysis.service_run} — the same request path the daemon
-    serves.  The fast path for [--jobs 1] without a timeout;
-    byte-identical reports to {!run} on non-faulting corpora.  [obs]
+    serves.  The path of [--jobs 1]; byte-identical reports to {!run},
+    fault-marked and timed-out tasks included.  [obs]
     observes every dynamic run in this process — the only mode in which
     one ring can see a whole sweep, which is what
     [ndroid analyze --trace] uses.  [progress] fires once per task,

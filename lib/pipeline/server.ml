@@ -10,24 +10,20 @@ type config = {
   s_depth : int;
   s_max_clients : int;
   s_deadline : float option;
-  s_engine : Engine.t;
   s_stream_buf : int;
   s_log : (string -> unit) option;
   s_stop : (unit -> bool) option;
 }
 
 let config ~socket ?(jobs = 1) ?cache ?(depth = 256) ?(max_clients = 16)
-    ?deadline ?(engine = Engine.Fork) ?(stream_buf = 262144) ?log ?stop () =
+    ?deadline ?engine:(_ : Engine.t option) ?(stream_buf = 262144) ?log ?stop
+    () =
   if depth < 1 then invalid_arg "Server.config: depth must be >= 1";
   if max_clients < 1 then invalid_arg "Server.config: max_clients must be >= 1";
   if stream_buf < 1 then
     invalid_arg "Server.config: stream_buf must be >= 1";
-  (if engine = Engine.Domains && deadline <> None then
-     invalid_arg
-       "Server.config: a default deadline needs the forked engine (domains \
-        cannot be killed at a deadline)");
   { s_socket = socket; s_jobs = max 1 jobs; s_cache = cache; s_depth = depth;
-    s_max_clients = max_clients; s_deadline = deadline; s_engine = engine;
+    s_max_clients = max_clients; s_deadline = deadline;
     s_stream_buf = stream_buf; s_log = log; s_stop = stop }
 
 type stats = {
@@ -39,7 +35,6 @@ type stats = {
   sv_shed : int;
   sv_crashed : int;
   sv_timeouts : int;
-  sv_respawns : int;
   sv_evictions : int;
   sv_clients : int;
   sv_subscribers : int;
@@ -93,25 +88,15 @@ type client = {
   mutable cl_sub : sub option;  (* live trace subscription, if any *)
 }
 
-type worker = {
-  wk_slot : int;
-  mutable wk_pid : int;
-  mutable wk_task_w : Unix.file_descr;
-  mutable wk_result_r : Unix.file_descr;
-  mutable wk_reader : Wire.reader;
-  mutable wk_inflight : entry option;
-  mutable wk_deadline : float;  (* infinity = none *)
-  mutable wk_alive : bool;
+(* An entry on a worker domain: the cancel flag its analysis polls, and
+   the wall-clock time past which the loop sets it. *)
+type running = {
+  r_entry : entry;
+  r_cancel : bool Atomic.t;
+  mutable r_deadline : float;  (* infinity = none, or already cancelled *)
 }
 
 let now () = Unix.gettimeofday ()
-
-let status_message = function
-  | Unix.WEXITED n -> Printf.sprintf "worker exited with status %d" n
-  | Unix.WSIGNALED n when n = Sys.sigkill -> "worker killed by SIGKILL"
-  | Unix.WSIGNALED n when n = Sys.sigsegv -> "worker killed by SIGSEGV"
-  | Unix.WSIGNALED n -> Printf.sprintf "worker killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "worker stopped by signal %d" n
 
 let serve cfg =
   let log fmt =
@@ -119,19 +104,12 @@ let serve cfg =
       (fun s -> match cfg.s_log with Some f -> f s | None -> ())
       fmt
   in
-  (* one engine per daemon: the two cannot share a process (Unix.fork
-     refuses once a domain exists), so Auto resolves at startup — fork
-     when a default deadline must be enforceable, domains otherwise *)
-  let engine =
-    Engine.resolve cfg.s_engine ~needs_isolation:(cfg.s_deadline <> None)
-  in
-  (* the facade owns digesting, the warm layer and the disk cache; created
-     before forking so workers inherit the summary persistence hooks *)
+  (* the facade owns digesting, the warm layer and the disk cache *)
   let service = Analysis.service ?cache:cfg.s_cache () in
   let requests = ref 0 and served = ref 0 and cache_hits = ref 0 in
   let coalesced = ref 0 and analyses = ref 0 in
   let shed = ref 0 and crashed = ref 0 and timeouts = ref 0 in
-  let respawns = ref 0 and clients_total = ref 0 in
+  let clients_total = ref 0 in
   let subscribers = ref 0 in
   let trace_events = ref 0 and trace_dropped = ref 0 and trace_lost = ref 0 in
   let next_task_id = ref 0 in
@@ -144,9 +122,6 @@ let serve cfg =
      last waiter disconnects while it is still queued) *)
   let inflight : (string, entry) Hashtbl.t = Hashtbl.create 256 in
   let clients : client option array = Array.make cfg.s_max_clients None in
-  let workers : worker option array =
-    Array.make (if engine = Engine.Fork then cfg.s_jobs else 0) None
-  in
   (* ---- lifecycle ---- *)
   (try Unix.unlink cfg.s_socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -161,54 +136,9 @@ let serve cfg =
   let should_stop () =
     !stop || (match cfg.s_stop with Some f -> f () | None -> false)
   in
-  (* ---- forked workers ---- *)
-  let foreign_fds () =
-    let acc = ref [ listen_fd ] in
-    Array.iter
-      (function
-        | Some c -> acc := c.cl_fd :: !acc
-        | None -> ())
-      clients;
-    Array.iter
-      (function
-        | Some w when w.wk_alive -> acc := w.wk_task_w :: w.wk_result_r :: !acc
-        | _ -> ())
-      workers;
-    !acc
-  in
-  let spawn slot =
-    let task_r, task_w = Unix.pipe () in
-    let result_r, result_w = Unix.pipe () in
-    let inherited = foreign_fds () in
-    match Unix.fork () with
-    | 0 ->
-      (* a worker must hold no descriptor of the socket, any client, or
-         any sibling — or EOFs (client gone, sibling dead) go unseen *)
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        inherited;
-      Unix.close task_w;
-      Unix.close result_r;
-      Worker.loop task_r result_w;
-      assert false
-    | pid ->
-      Unix.close task_r;
-      Unix.close result_w;
-      { wk_slot = slot; wk_pid = pid; wk_task_w = task_w;
-        wk_result_r = result_r; wk_reader = Wire.create_reader ();
-        wk_inflight = None; wk_deadline = infinity; wk_alive = true }
-  in
-  for i = 0 to Array.length workers - 1 do
-    workers.(i) <- Some (spawn i)
-  done;
-  (* ---- domain workers (created after any forking, never before) ---- *)
-  let dom_pool =
-    if engine = Engine.Domains then
-      Some (Domain_pool.create ~domains:cfg.s_jobs ~service ())
-    else None
-  in
-  let dom_slots : entry option array =
-    Array.make (if engine = Engine.Domains then cfg.s_jobs else 0) None
-  in
+  (* ---- worker domains: one slot per in-flight entry ---- *)
+  let pool = Domain_pool.create ~domains:cfg.s_jobs ~service () in
+  let running : running option array = Array.make cfg.s_jobs None in
   (* ---- client output: buffered, non-blocking ---- *)
   let waiter_live (w : waiter) =
     match clients.(w.w_slot) with
@@ -402,31 +332,16 @@ let serve cfg =
     in
     incr next_task_id;
     match Analysis.service_find service task with
-    | Some (report, _) ->
+    | Some report ->
       (* the daemon's reason to exist: the warm path never queues, never
-         forks, never re-links — one probe, one frame back *)
+         dispatches, never re-links — one probe, one frame back *)
       incr cache_hits;
       incr served;
       queue_out c
         (Proto.Verdict
            { vd_req = s.Proto.sb_req; vd_cached = true; vd_seconds = 0.0;
              vd_report = report })
-    | None ->
-      if
-        engine = Engine.Domains
-        && (task.Task.t_fault <> None || s.Proto.sb_deadline <> None)
-      then begin
-        (* domains cannot act a fault or be killed at a deadline; refusing
-           is honest — silently ignoring the marker would not be *)
-        incr shed;
-        queue_out c
-          (Proto.Shed
-             { sh_req = s.Proto.sb_req;
-               sh_reason =
-                 "request needs process isolation (fault or deadline); \
-                  this daemon runs the domain engine" })
-      end
-      else begin
+    | None -> (
         let key =
           if task.Task.t_fault = None then
             Some (Analysis.service_digest service task)
@@ -472,8 +387,7 @@ let serve cfg =
                      Printf.sprintf
                        "queue at capacity (%d requests in flight)"
                        (Shard_queue.remaining queue) })
-          end
-      end
+          end)
   in
   let handle_client_frame (c : client) frame =
     match Proto.of_frame frame with
@@ -509,182 +423,73 @@ let serve cfg =
       queue_out c (Proto.Error e);
       c.cl_closing <- true
   in
-  (* ---- forked workers: dispatch, results, death, deadlines ---- *)
-  let dispatch (w : worker) =
-    match Shard_queue.pop_rr queue with
-    | None -> ()
-    | Some entry -> (
-      w.wk_inflight <- Some entry;
-      w.wk_deadline <-
-        (match (entry.e_deadline, cfg.s_deadline) with
-         | Some d, _ | None, Some d -> now () +. d
-         | None, None -> infinity);
-      (* the streaming request rides the task frame as an extra member the
-         worker understands and {!Task.of_json} ignores *)
-      let payload =
-        match (worker_window entry, Task.to_json entry.e_task) with
-        | Some win, Json.Obj fields ->
-          Json.Obj (fields @ [ ("trace", Json.Int win) ])
-        | _, j -> j
-      in
-      match Wire.write_frame w.wk_task_w (Json.to_string payload) with
-      | () -> ()
-      | exception Unix.Unix_error _ ->
-        (* already dead; the EOF handler resolves the entry *)
-        ())
-  in
-  let reap_status (w : worker) =
-    w.wk_alive <- false;
-    (try Unix.close w.wk_task_w with Unix.Unix_error _ -> ());
-    (try Unix.close w.wk_result_r with Unix.Unix_error _ -> ());
-    match Unix.waitpid [] w.wk_pid with
-    | _, status -> status_message status
-    | exception Unix.Unix_error _ -> "worker vanished"
-  in
-  let respawn (w : worker) =
-    (* the daemon is long-lived: a dead worker is always replaced *)
-    workers.(w.wk_slot) <- Some (spawn w.wk_slot);
-    incr respawns
-  in
-  let resolve_inflight (w : worker) verdict =
-    match w.wk_inflight with
-    | None -> ()
-    | Some e ->
-      incr analyses;
-      resolve_entry e (fun wtr ->
-          Proto.Verdict
-            { vd_req = wtr.w_req; vd_cached = false; vd_seconds = 0.0;
-              vd_report =
-                { Verdict.r_app = Task.subject_name e.e_task.Task.t_subject;
-                  r_analysis = Task.mode_name e.e_task.Task.t_mode;
-                  r_verdict = verdict;
-                  r_meta = [] } });
-      w.wk_inflight <- None
-  in
-  let handle_worker_death (w : worker) =
-    let why = reap_status w in
-    (match w.wk_inflight with
-     | Some _ ->
-       incr crashed;
-       log "worker %d died (%s) mid-request" w.wk_slot why
-     | None -> ());
-    resolve_inflight w (Verdict.Crashed why);
-    respawn w
-  in
-  let handle_worker_timeout (w : worker) =
-    (try Unix.kill w.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (reap_status w);
-    incr timeouts;
-    resolve_inflight w Verdict.Timeout;
-    respawn w
-  in
-  (* a worker's trace frame: decode once, deliver req-matched to the
-     entry's trace waiters and filtered/throttled to every subscriber.
-     Trace frames precede the result frame on the pipe, so events always
-     reach a tracing client before its verdict. *)
-  let handle_trace_payload (w : worker) tj =
-    let id =
-      Option.value ~default:(-1) (Option.bind (Json.member "id" tj) Json.int)
-    in
-    let app =
-      Option.value ~default:"?" (Option.bind (Json.member "app" tj) Json.str)
-    in
-    let events =
-      match Option.bind (Json.member "events" tj) Json.list with
-      | None -> []
-      | Some l ->
-        List.filter_map
-          (fun ej -> Result.to_option (Stream.event_of_json ej))
-          l
-    in
-    let dropped =
-      Option.value ~default:0 (Option.bind (Json.member "dropped" tj) Json.int)
-    in
-    let lost =
-      Option.value ~default:0 (Option.bind (Json.member "lost" tj) Json.int)
-    in
-    let entry =
-      match w.wk_inflight with
-      | Some e when e.e_task.Task.t_id = id -> Some e
-      | _ -> None
-    in
-    fanout_trace ?entry ~app ~events ~dropped ~lost ()
-  in
-  let handle_result_frame (w : worker) payload =
-    match Json.of_string payload with
-    | Error _ -> ()
-    | Ok j when Json.member "trace" j <> None -> (
-      match Json.member "trace" j with
-      | Some tj -> handle_trace_payload w tj
-      | None -> ())
-    | Ok j ->
-      let id = Option.bind (Json.member "id" j) Json.int in
-      let seconds =
-        match Json.member "seconds" j with
-        | Some (Json.Float f) -> f
-        | Some (Json.Int i) -> float_of_int i
-        | _ -> 0.0
-      in
-      let report =
-        Option.map Verdict.report_of_json (Json.member "report" j)
-      in
-      (match (id, report, w.wk_inflight) with
-       | Some id, Some (Ok report), Some e when e.e_task.Task.t_id = id ->
-         w.wk_inflight <- None;
-         w.wk_deadline <- infinity;
-         incr analyses;
-         if e.e_task.Task.t_fault = None then
-           Analysis.service_store service
-             ~digest:(Analysis.service_digest service e.e_task)
-             report;
-         resolve_entry e (fun wtr ->
-             Proto.Verdict
-               { vd_req = wtr.w_req; vd_cached = false; vd_seconds = seconds;
-                 vd_report = report })
-       | _ -> ())
-  in
-  (* ---- domain workers: dispatch and completions ---- *)
-  let free_dom_slot () =
+  (* ---- worker domains: dispatch, deadlines and completions ---- *)
+  let free_slot_of arr =
     let found = ref None in
     Array.iteri
       (fun i e -> if !found = None && e = None then found := Some i)
-      dom_slots;
+      arr;
     !found
   in
-  let dispatch_domains pool =
+  let dispatch () =
     let rec go () =
-      match free_dom_slot () with
+      match free_slot_of running with
       | None -> ()
       | Some ticket -> (
         match Shard_queue.pop_rr queue with
         | None -> ()
         | Some entry ->
+          let deadline =
+            match (entry.e_deadline, cfg.s_deadline) with
+            | Some d, _ | None, Some d -> now () +. d
+            | None, None -> infinity
+          in
+          let cancel = Atomic.make false in
           (* arm (or disarm) the pool's tap before the task can be
              claimed; the window travels with the claim *)
           Domain_pool.set_trace pool (worker_window entry);
-          dom_slots.(ticket) <- Some entry;
-          Domain_pool.submit pool ~ticket entry.e_task;
+          running.(ticket) <-
+            Some { r_entry = entry; r_cancel = cancel; r_deadline = deadline };
+          Domain_pool.submit pool ~ticket ~cancel entry.e_task;
           go ())
     in
     go ()
   in
-  let handle_dom_completions pool =
+  (* a passed deadline sets the entry's cancel flag; the analysis stops at
+     its next budget check and answers [Timeout], which is never cached *)
+  let cancel_overdue () =
+    let t = now () in
+    Array.iter
+      (function
+        | Some r when r.r_deadline <= t ->
+          r.r_deadline <- infinity;
+          Atomic.set r.r_cancel true
+        | _ -> ())
+      running
+  in
+  let handle_completions () =
     List.iter
       (fun (c : Domain_pool.completion) ->
-        match dom_slots.(c.Domain_pool.dc_ticket) with
+        match running.(c.Domain_pool.dc_ticket) with
         | None -> ()
-        | Some entry ->
-          dom_slots.(c.Domain_pool.dc_ticket) <- None;
+        | Some r ->
+          running.(c.Domain_pool.dc_ticket) <- None;
+          let entry = r.r_entry in
+          let report = c.Domain_pool.dc_report in
           incr analyses;
-          (* events first, verdict second: same ordering contract as the
-             forked worker's pipe *)
+          (match report.Verdict.r_verdict with
+           | Verdict.Crashed why ->
+             incr crashed;
+             log "request %d crashed: %s" entry.e_task.Task.t_id why
+           | Verdict.Timeout -> incr timeouts
+           | Verdict.Clean | Verdict.Flagged _ -> ());
+          (* events first, verdict second *)
           if
             c.Domain_pool.dc_events <> []
             || c.Domain_pool.dc_dropped > 0
             || c.Domain_pool.dc_lost > 0
           then
-            fanout_trace ~entry
-              ~app:c.Domain_pool.dc_report.Verdict.r_app
+            fanout_trace ~entry ~app:report.Verdict.r_app
               ~events:c.Domain_pool.dc_events
               ~dropped:c.Domain_pool.dc_dropped ~lost:c.Domain_pool.dc_lost
               ();
@@ -693,22 +498,15 @@ let serve cfg =
               Proto.Verdict
                 { vd_req = wtr.w_req; vd_cached = false;
                   vd_seconds = c.Domain_pool.dc_seconds;
-                  vd_report = c.Domain_pool.dc_report }))
+                  vd_report = report }))
       (Domain_pool.drain pool)
   in
   (* ---- accept ---- *)
-  let free_slot () =
-    let found = ref None in
-    Array.iteri
-      (fun i c -> if !found = None && c = None then found := Some i)
-      clients;
-    !found
-  in
   let accept_clients () =
     let rec loop () =
       match Unix.accept listen_fd with
       | fd, _ -> (
-        match free_slot () with
+        match free_slot_of clients with
         | None ->
           (* refuse loudly rather than queueing an invisible client *)
           (try Proto.write fd (Proto.Error "server full (client slots)")
@@ -732,26 +530,13 @@ let serve cfg =
     loop ()
   in
   (* ---- the loop ---- *)
-  log "listening on %s (%s engine, %d workers, depth %d)" cfg.s_socket
-    (Engine.name engine) cfg.s_jobs cfg.s_depth;
+  log "listening on %s (%d workers, depth %d)" cfg.s_socket cfg.s_jobs
+    cfg.s_depth;
   while not (should_stop ()) do
     (* keep every worker busy before sleeping *)
-    Array.iter
-      (function
-        | Some w when w.wk_alive && w.wk_inflight = None -> dispatch w
-        | _ -> ())
-      workers;
-    (match dom_pool with Some p -> dispatch_domains p | None -> ());
-    let rfds = ref [ listen_fd ] in
+    dispatch ();
+    let rfds = ref [ listen_fd; Domain_pool.notify_fd pool ] in
     let wfds = ref [] in
-    Array.iter
-      (function
-        | Some w when w.wk_alive -> rfds := w.wk_result_r :: !rfds
-        | _ -> ())
-      workers;
-    (match dom_pool with
-     | Some p -> rfds := Domain_pool.notify_fd p :: !rfds
-     | None -> ());
     Array.iter
       (function
         | Some c ->
@@ -761,11 +546,9 @@ let serve cfg =
       clients;
     let next_deadline =
       Array.fold_left
-        (fun acc w ->
-          match w with
-          | Some w when w.wk_alive -> Float.min acc w.wk_deadline
-          | _ -> acc)
-        infinity workers
+        (fun acc r ->
+          match r with Some r -> Float.min acc r.r_deadline | None -> acc)
+        infinity running
     in
     let dt =
       if next_deadline = infinity then 0.5
@@ -776,19 +559,8 @@ let serve cfg =
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     if List.mem listen_fd readable then accept_clients ();
-    (* worker results *)
-    Array.iter
-      (function
-        | Some w when w.wk_alive && List.mem w.wk_result_r readable -> (
-          match Wire.drain w.wk_reader w.wk_result_r with
-          | `Frames frames -> List.iter (handle_result_frame w) frames
-          | `Eof frames ->
-            List.iter (handle_result_frame w) frames;
-            handle_worker_death w)
-        | _ -> ())
-      workers;
-    (* domain completions (the notify fd is edge enough: drain always) *)
-    (match dom_pool with Some p -> handle_dom_completions p | None -> ());
+    (* worker completions (the notify fd is edge enough: drain always) *)
+    handle_completions ();
     (* client traffic *)
     Array.iter
       (function
@@ -808,14 +580,7 @@ let serve cfg =
         | Some c when List.mem c.cl_fd writable -> flush_client c
         | _ -> ())
       clients;
-    (* per-request budgets *)
-    let t = now () in
-    Array.iter
-      (function
-        | Some w when w.wk_alive && w.wk_deadline <= t ->
-          handle_worker_timeout w
-        | _ -> ())
-      workers
+    cancel_overdue ()
   done;
   (* ---- orderly shutdown ---- *)
   log "shutting down";
@@ -824,18 +589,12 @@ let serve cfg =
       | Some c -> flush_client c
       | None -> ())
     clients;
+  (* cancel what is still running, so the workers join promptly; those
+     verdicts are discarded with the pool *)
   Array.iter
-    (function
-      | Some w when w.wk_alive ->
-        (try Unix.close w.wk_task_w with Unix.Unix_error _ -> ());
-        (try Unix.close w.wk_result_r with Unix.Unix_error _ -> ());
-        (try Unix.kill w.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] w.wk_pid) with Unix.Unix_error _ -> ())
-      | _ -> ())
-    workers;
-  (* a domain mid-analysis finishes first (it cannot be killed); its
-     verdict is discarded with the pool *)
-  (match dom_pool with Some p -> Domain_pool.shutdown p | None -> ());
+    (function Some r -> Atomic.set r.r_cancel true | None -> ())
+    running;
+  Domain_pool.shutdown pool;
   Array.iter
     (function
       | Some c -> ( try Unix.close c.cl_fd with Unix.Unix_error _ -> ())
@@ -849,7 +608,7 @@ let serve cfg =
   { sv_requests = !requests; sv_served = !served;
     sv_cache_hits = !cache_hits; sv_coalesced = !coalesced;
     sv_analyses = !analyses; sv_shed = !shed; sv_crashed = !crashed;
-    sv_timeouts = !timeouts; sv_respawns = !respawns;
+    sv_timeouts = !timeouts;
     sv_evictions = Analysis.service_evictions service;
     sv_clients = !clients_total;
     sv_subscribers = !subscribers;

@@ -9,21 +9,18 @@
     or a [Shed] when the bounded queue is full.  Overload degrades by
     refusing loudly, never by stalling or dropping.
 
-    {b Engines.}  The daemon runs exactly one {!Engine} for its whole
-    life (the two cannot share a process — [Unix.fork] refuses once a
-    domain exists).  [Fork] keeps persistent worker processes: crash
-    isolation, per-request deadlines, fault injection.  [Domains] keeps
-    worker domains over a shared {!Analysis.service}: no fork, no wire
-    marshaling — but a submit that needs isolation (a fault marker or a
-    per-request deadline) is {e shed} with an explanatory reason rather
-    than silently mis-served.  [Auto] resolves at startup: fork iff a
-    default deadline was configured, domains otherwise.
+    {b Workers.}  The daemon keeps worker domains ({!Domain_pool}) over
+    a shared {!Analysis.service}.  Every analysis runs under the work
+    budget, so a runaway app answers [Timeout] and an analyzer exception
+    [Crashed], for that one request only.  A per-request deadline sets
+    the analysis's cancel flag when it passes: the analysis stops at its
+    next budget check and answers [Timeout], which is never cached.
 
     {b Single-flight.}  Admission coalesces concurrent misses of one
     digest: the first [Submit] queues the analysis, colliding ones attach
     as waiters (answered with a ["coalesced"] [Progress]) and the one
     verdict fans out to every waiter.  A thundering herd of identical
-    requests costs one analysis, under either engine.
+    requests costs one analysis.
 
     Fairness: admission queues each request on its client's
     {!Shard_queue} shard and dispatch drains shards round-robin, so a
@@ -39,23 +36,17 @@
     writes as everything else.  A subscriber that cannot keep up has
     whole trace frames shed (counted in [sv_trace_lost] and on the
     frames' cumulative counters); analyses are never blocked, and
-    verdicts are never shed by the stream bound.
-
-    Isolation under the forked engine is the pool's: a worker crashing
-    (or overrunning its deadline and being killed) yields a [Crashed] /
-    [Timeout] verdict for that one request, and the worker slot is
-    respawned — the daemon itself never dies with a worker. *)
+    verdicts are never shed by the stream bound. *)
 
 type config = {
   s_socket : string;  (** Unix-domain socket path; unlinked on shutdown *)
-  s_jobs : int;  (** persistent worker processes or domains *)
+  s_jobs : int;  (** worker domains *)
   s_cache : Cache.t option;  (** digest cache kept warm across requests *)
   s_depth : int;  (** max queued (not yet dispatched) requests — the
                       admission bound; beyond it, [Shed] *)
   s_max_clients : int;  (** concurrent connections (= queue shards) *)
-  s_deadline : float option;  (** default per-request budget, seconds
-                                  (forces the forked engine) *)
-  s_engine : Engine.t;  (** resolved once at startup; see above *)
+  s_deadline : float option;
+      (** default per-request wall-clock deadline, seconds *)
   s_stream_buf : int;
       (** max buffered outbound bytes per client before a {e trace} frame
           is shed instead of queued (verdicts are never shed by this
@@ -72,10 +63,8 @@ val config :
   ?max_clients:int -> ?deadline:float -> ?engine:Engine.t ->
   ?stream_buf:int -> ?log:(string -> unit) -> ?stop:(unit -> bool) -> unit ->
   config
-(** [engine] defaults to {!Engine.Fork} (library compatibility; the CLI
-    passes [auto]); [stream_buf] to 256 KiB.
-    @raise Invalid_argument on [~engine:Domains] with a [deadline] — a
-    deadline is only enforceable by killing a forked worker. *)
+(** [engine] is accepted and ignored: there is one engine.  [stream_buf]
+    defaults to 256 KiB. *)
 
 type stats = {
   sv_requests : int;  (** [Submit] frames admitted or shed *)
@@ -89,16 +78,16 @@ type stats = {
                           invariant is [sv_served = sv_cache_hits +
                           sv_coalesced + … per-entry fan-out] with one
                           analysis per distinct in-flight digest *)
-  sv_shed : int;  (** requests refused (depth bound, or isolation needs
-                      under the domain engine) *)
-  sv_crashed : int;  (** workers that died mid-request (forked engine) *)
-  sv_timeouts : int;  (** requests killed at their deadline (forked) *)
-  sv_respawns : int;  (** replacement workers forked *)
+  sv_shed : int;  (** requests refused by the depth bound *)
+  sv_crashed : int;  (** analyses that answered [Crashed] *)
+  sv_timeouts : int;
+      (** analyses that answered [Timeout]: budget spent or deadline
+          passed *)
   sv_evictions : int;  (** warm-layer memo evictions over the lifetime *)
   sv_clients : int;  (** connections accepted over the lifetime *)
   sv_subscribers : int;  (** [Subscribe] frames accepted over the lifetime *)
   sv_trace_events : int;
-      (** events received from the engines' taps (before per-subscriber
+      (** events received from the workers' taps (before per-subscriber
           filtering) *)
   sv_trace_dropped : int;
       (** events suppressed by throttle windows — worker-side taps plus
@@ -111,7 +100,7 @@ type stats = {
 
 val serve : config -> stats
 (** Run the daemon until SIGTERM or SIGINT (or [s_stop] returns [true]),
-    then shut down in order — pending client output flushed, workers
-    buried (forked) or joined (domains), socket closed and unlinked,
+    then shut down in order — pending client output flushed, running
+    analyses cancelled and the workers joined, socket closed and unlinked,
     previous signal dispositions restored — and report what was
     served. *)

@@ -1,6 +1,4 @@
-(* Each shard is a two-list amortized FIFO so the server's admission path
-   gets O(1) pushes; the batch pool only ever deals once and pops, which
-   the front list alone used to cover. *)
+(* Each shard is a two-list amortized FIFO, so pushes are O(1). *)
 type 'a shard = {
   mutable front : 'a list;  (* next to run is the head *)
   mutable back : 'a list;  (* pushed items, newest first *)
@@ -18,30 +16,13 @@ type 'a t = {
 let default_capacity = 1_000_000
 
 let create_empty ~shards ?(capacity = default_capacity) () =
-  if shards < 1 then invalid_arg "Shard_queue.create: shards must be >= 1";
+  if shards < 1 then
+    invalid_arg "Shard_queue.create_empty: shards must be >= 1";
   { shards = Array.init shards (fun _ -> { front = []; back = []; len = 0 });
     capacity; size = 0; stolen = 0; cursor = 0 }
 
-let create ~shards ?(capacity = default_capacity) items =
-  let t = create_empty ~shards ~capacity () in
-  let n = List.length items in
-  if n > capacity then
-    invalid_arg
-      (Printf.sprintf "Shard_queue.create: %d items exceed the %d-task bound"
-         n capacity);
-  List.iteri
-    (fun i item ->
-      let s = t.shards.(i mod shards) in
-      s.front <- item :: s.front;
-      s.len <- s.len + 1)
-    items;
-  Array.iter (fun s -> s.front <- List.rev s.front) t.shards;
-  t.size <- n;
-  t
-
 let remaining t = t.size
 let steals t = t.stolen
-let shards t = Array.length t.shards
 let shard_depth t ~shard = t.shards.(shard mod Array.length t.shards).len
 
 let push t ~shard item =

@@ -1,16 +1,15 @@
 (** The pipeline's bounded, sharded work queue — two consumption
     disciplines over one structure.
 
-    {b Batch (the pool)}: tasks are dealt round-robin across one shard per
-    worker at {!create} time; a worker pops from the front of its own
-    shard ({!pop}) and, when that runs dry, steals the back half of the
-    fullest other shard.  Stealing keeps the sweep busy when per-app cost
+    {b Workers ({!Domain_pool})}: tasks are dealt round-robin across one
+    shard per worker as they are submitted, with no capacity bound; a worker pops from the front
+    of its own shard ({!pop}) and, when that runs dry, steals the back
+    half of the fullest other shard.  Stealing keeps the sweep busy when per-app cost
     is wildly uneven, while the shard-local common case preserves the
     id-ordered scan that makes cache walks and progress output
     predictable.
 
-    {b Service (the daemon)}: the queue starts empty ({!create_empty})
-    with one shard per client slot; admission {!push}es onto the
+    {b Service (the daemon)}: one shard per client slot; admission {!push}es onto the
     submitting client's shard (refused at capacity — the caller sheds),
     and the dispatcher {!pop_rr}s round-robin across non-empty shards, so
     one client saturating the daemon cannot starve the others: every
@@ -18,14 +17,9 @@
 
 type 'a t
 
-val create : shards:int -> ?capacity:int -> 'a list -> 'a t
-(** Deal the items round-robin over [shards] (>= 1) shards.
-    @raise Invalid_argument if the item count exceeds [capacity]
-    (default 1_000_000) — the queue is bounded by construction; a sweep
-    larger than that should be split into multiple sweeps. *)
-
 val create_empty : shards:int -> ?capacity:int -> unit -> 'a t
-(** An empty queue for dynamic admission via {!push}. *)
+(** An empty queue of [shards] (>= 1) shards holding at most [capacity]
+    items (default 1_000_000), filled by {!push}. *)
 
 val push : 'a t -> shard:int -> 'a -> bool
 (** Append to the back of that shard, O(1) amortized.  [false] — and the
@@ -47,7 +41,6 @@ val clear_shard : 'a t -> shard:int -> 'a list
     client's not-yet-dispatched requests). *)
 
 val remaining : 'a t -> int
-val shards : 'a t -> int
 val shard_depth : 'a t -> shard:int -> int
 val steals : 'a t -> int
 (** How many times a pop had to steal from a foreign shard. *)

@@ -8,7 +8,7 @@ type subject =
   | Market of { m_total : int; m_seed : int; m_permille : int option;
                 m_id : int }
 
-type fault = Crash | Kill | Hang | Sleep of float
+type fault = Crash | Hang | Sleep of float
 
 type t = {
   t_id : int;
@@ -67,16 +67,8 @@ let subject_to_json = function
 let fault_to_json = function
   | None -> Json.Null
   | Some Crash -> Json.Str "crash"
-  | Some Kill -> Json.Str "kill"
   | Some Hang -> Json.Str "hang"
   | Some (Sleep s) -> Json.Obj [ ("sleep", Json.Float s) ]
-
-let to_json t =
-  Json.Obj
-    [ ("id", Json.Int t.t_id);
-      ("subject", subject_to_json t.t_subject);
-      ("mode", Json.Str (mode_name t.t_mode));
-      ("fault", fault_to_json t.t_fault) ]
 
 let ( let* ) = Result.bind
 
@@ -88,7 +80,6 @@ let req_int name j =
 let fault_of_json = function
   | None | Some Json.Null -> Ok None
   | Some (Json.Str "crash") -> Ok (Some Crash)
-  | Some (Json.Str "kill") -> Ok (Some Kill)
   | Some (Json.Str "hang") -> Ok (Some Hang)
   | Some (Json.Obj _ as o) -> (
     match Json.member "sleep" o with
@@ -111,21 +102,3 @@ let subject_of_json s =
     Ok (Market { m_total = total; m_seed = seed; m_permille = permille;
                  m_id = mid })
   | _ -> Error "unknown subject kind"
-
-let of_json j =
-  let* id = req_int "id" j in
-  let* mode =
-    match Option.bind (Json.member "mode" j) Json.str with
-    | Some m -> (
-      match mode_of_name m with
-      | Some m -> Ok m
-      | None -> Error (Printf.sprintf "unknown task mode %S" m))
-    | None -> Error "task is missing its \"mode\""
-  in
-  let* fault = fault_of_json (Json.member "fault" j) in
-  let* subject =
-    match Json.member "subject" j with
-    | None -> Error "task is missing its \"subject\""
-    | Some s -> subject_of_json s
-  in
-  Ok { t_id = id; t_subject = subject; t_mode = mode; t_fault = fault }

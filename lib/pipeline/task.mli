@@ -1,10 +1,9 @@
 (** One unit of pipeline work: which app, which analyzer, and (for the
-    fault-injection harness) whether the worker should die on it.
+    fault-injection tests and bench) how the analysis should misbehave.
 
-    Tasks cross the worker pipe as JSON, so a subject must be something a
-    freshly forked worker can rebuild from the description alone: a bundled
-    scenario app by registry name, or one synthetic market app by
-    generator coordinates (params + id). *)
+    A subject is something any worker can rebuild from the description
+    alone: a bundled scenario app by registry name, or one synthetic
+    market app by generator coordinates (params + id). *)
 
 type mode = Static | Dynamic | Both | Hybrid
 (** [Hybrid] runs static first and proves clean apps clean with no
@@ -17,14 +16,14 @@ type subject =
                 m_id : int }
       (** app [m_id] of [Market.generate {total; seed; type1_permille}] *)
 
-(** Injected worker misbehaviour, exercised by the crash-isolation tests,
-    the service-layer tests and `bench/main.exe pipeline`:
-    [Crash] makes the worker process exit hard mid-task, [Kill] makes it
-    SIGKILL itself (death by signal, exactly what an OOM kill looks like),
-    [Hang] makes it spin past any per-app timeout, and [Sleep s] delays
-    the analysis by [s] seconds (a deterministic "slow app" for fairness
-    and shedding tests).  Never set on real analysis work. *)
-type fault = Crash | Kill | Hang | Sleep of float
+(** Injected misbehaviour, acted on inside {!Analysis.run} and exercised
+    by the fault tests, the service-layer tests and
+    `bench/main.exe pipeline`: [Crash] raises mid-analysis (a [Crashed]
+    verdict), [Hang] spins until the work budget runs out (a [Timeout]),
+    and [Sleep s] delays the analysis by [s] seconds (a deterministic
+    "slow app" for fairness and shedding tests).  Never set on real
+    analysis work. *)
+type fault = Crash | Hang | Sleep of float
 
 type t = {
   t_id : int;  (** dense index; results are ordered by it *)
@@ -47,14 +46,10 @@ val market_model : total:int -> seed:int -> permille:int option -> int ->
 val of_market_slice : ?mode:mode -> Ndroid_corpus.Market.params -> t list
 (** One [Static] task per app of the slice, ids [0..total-1]. *)
 
-val to_json : t -> Ndroid_report.Json.t
-val of_json : Ndroid_report.Json.t -> (t, string) result
-
 val subject_to_json : subject -> Ndroid_report.Json.t
 val subject_of_json : Ndroid_report.Json.t -> (subject, string) result
-(** The subject codec alone — shared with the service protocol
-    ({!Ndroid_pipeline.Proto}), whose [Submit] messages carry a subject
-    but mint their own ids. *)
-
 val fault_to_json : fault option -> Ndroid_report.Json.t
 val fault_of_json : Ndroid_report.Json.t option -> (fault option, string) result
+(** The codecs of the service protocol ({!Ndroid_pipeline.Proto}), whose
+    [Submit] messages carry a subject and a fault but mint their own
+    ids. *)

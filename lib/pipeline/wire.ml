@@ -26,13 +26,6 @@ let write_all fd b =
     off := !off + Unix.write fd b !off (len - !off)
   done
 
-let write_frame fd payload =
-  let n = String.length payload in
-  let b = Bytes.create (header_len + n) in
-  Bytes.blit (encode_len n) 0 b 0 header_len;
-  Bytes.blit_string payload 0 b header_len n;
-  write_all fd b
-
 let read_exactly fd n =
   let b = Bytes.create n in
   let off = ref 0 in
@@ -52,7 +45,7 @@ let read_frame fd =
     | None -> None
     | Some payload -> Some (Bytes.to_string payload))
 
-(* ---- incremental parent-side reader ---- *)
+(* ---- incremental reader ---- *)
 
 type reader = { mutable buf : Bytes.t; mutable used : int }
 
@@ -101,7 +94,7 @@ let drain r fd =
 
 (* A tagged frame is an ordinary length-prefixed frame whose payload starts
    with two header bytes: the protocol version and a one-byte message tag.
-   Reusing the v0 framing means the incremental [reader] above reassembles
+   Reusing the plain framing means the incremental [reader] above reassembles
    tagged traffic unchanged; only the payload interpretation differs.  The
    version byte exists so a stale client talking to a newer daemon (or
    vice versa) fails with one decisive error instead of silently

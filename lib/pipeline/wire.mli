@@ -1,24 +1,16 @@
-(** Length-prefixed frames over pipes and sockets.
+(** Length-prefixed frames over sockets.
 
     Each frame is a 4-byte big-endian length followed by that many payload
-    bytes.  The worker side reads blocking whole frames; the parent side
-    feeds whatever [read(2)] returned into an incremental {!reader}, so a
-    select-driven loop never blocks halfway through a frame a slow (or
-    freshly killed) worker only partly wrote.
+    bytes.  A blocking client reads whole frames ({!read_frame}); the
+    daemon feeds whatever [read(2)] returned into an incremental
+    {!reader}, so its select-driven loop never blocks halfway through a
+    frame a slow client only partly wrote.
 
-    Two payload conventions share this framing:
-    - {b v0 (bare)}: the payload is the message itself.  The pool's
-      task/result pipes speak v0 — parent and workers are always the same
-      binary, so no version negotiation is needed on that fast path.
-    - {b tagged}: the payload starts with a protocol-version byte and a
-      one-byte message tag ({!write_tagged} / {!parse_tagged}).  The
-      service socket speaks tagged frames (currently v2), because daemon
-      and client can be different binaries: a version mismatch must be
-      one decisive error, never a silent misparse. *)
-
-val write_frame : Unix.file_descr -> string -> unit
-(** Whole frame, retrying short writes.  Raises [Unix.Unix_error] (e.g.
-    [EPIPE]) if the peer is gone. *)
+    The service socket speaks tagged frames: the payload starts with a
+    protocol-version byte and a one-byte message tag ({!write_tagged} /
+    {!parse_tagged}), because daemon and client can be different
+    binaries — a version mismatch must be one decisive error, never a
+    silent misparse. *)
 
 val read_frame : Unix.file_descr -> string option
 (** Blocking read of one whole frame; [None] on clean EOF at a frame

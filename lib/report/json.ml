@@ -96,6 +96,11 @@ let to_string_hum j =
 
 exception Parse_error of int * string
 
+(* Deep enough for every document this project writes (reports nest about
+   six levels); shallow enough that a hostile frame of brackets is
+   refused after [max_depth] of them. *)
+let max_depth = 512
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -180,7 +185,10 @@ let of_string s =
         | Some f -> Float f
         | None -> fail (Printf.sprintf "bad number %S" text))
   in
-  let rec parse_value () =
+  (* [depth] counts the containers open around the value: a document
+     nested past [max_depth] is refused before the recursion can cost
+     more than the input's length *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -188,6 +196,8 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
+    | Some ('[' | '{') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '[' ->
       advance ();
       skip_ws ();
@@ -196,11 +206,11 @@ let of_string s =
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
@@ -219,7 +229,7 @@ let of_string s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let fields = ref [ field () ] in
@@ -235,7 +245,7 @@ let of_string s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing bytes after document";
     v

@@ -25,8 +25,12 @@ val to_string_hum : t -> string
 (** Same canonical key order, but indented for human eyes (used by the
     BENCH_*.json writers). *)
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!of_string} accepts. *)
+
 val of_string : string -> (t, string) result
-(** Parse a JSON document.  [Error msg] carries the byte offset. *)
+(** Parse a JSON document.  [Error msg] carries the byte offset.  A
+    document nested deeper than {!max_depth} is an [Error]. *)
 
 (** {1 Decoding helpers} *)
 

@@ -8,6 +8,7 @@ module Machine = Ndroid_emulator.Machine
 module Layout = Ndroid_emulator.Layout
 module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
+module Budget = Ndroid_budget.Budget
 module Asm = Ndroid_arm.Asm
 module Taint = Ndroid_taint.Taint
 module Indirect_ref = Ndroid_jni.Indirect_ref
@@ -633,12 +634,24 @@ let type_name = function
 
 let install_jni d =
   let next_addr = ref (Layout.libdvm_base + 0x1000) in
-  let mount name run =
+  let mount ?charge name run =
     let addr = !next_addr in
     next_addr := addr + 0x40;
     ignore
-      (Machine.mount_host_fn d.d_machine ~lib:"libdvm.so" ~name ~addr (fun cpu mem ->
-           run cpu mem))
+      (Machine.mount_host_fn d.d_machine ~lib:"libdvm.so" ~name ~addr ?charge
+         (fun cpu mem -> run cpu mem))
+  in
+  (* work charges, as for libc (see [A.Libc_model.charge]): one unit per
+     byte or element a call's arguments ask it to touch; the strings and
+     arrays a call allocates pay in [Heap] *)
+  let sized i b cpu mem = Budget.charge b (arg cpu mem i) in
+  let scan i b cpu mem =
+    Budget.charge b (A.Libc_model.cstr_len mem (arg cpu mem i))
+  in
+  let string_len b cpu mem =
+    match string_obj d (arg cpu mem 1) with
+    | Some (_, s) -> Budget.charge b (String.length s)
+    | None -> ()
   in
   (* --- internals (MAF column of Table III + bridge machinery) --- *)
   mount "dvmCallJNIMethod" (fun cpu mem -> run_call_bridge d cpu mem);
@@ -652,7 +665,7 @@ let install_jni d =
       let s = Memory.read_cstring mem (arg cpu mem 1) in
       let o = Heap.alloc_string d.d_vm.Vm.heap s in
       Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "dvmCreateStringFromUnicode" (fun cpu mem ->
+  mount "dvmCreateStringFromUnicode" ~charge:(sized 2) (fun cpu mem ->
       let ptr = arg cpu mem 1 and len = arg cpu mem 2 in
       let b = Buffer.create len in
       for i = 0 to len - 1 do
@@ -704,7 +717,7 @@ let install_jni d =
       Cpu.set_reg cpu 0 exn_obj.Heap.addr);
 
   (* --- class / method / field lookup --- *)
-  mount "FindClass" (fun cpu mem ->
+  mount "FindClass" ~charge:(scan 1) (fun cpu mem ->
       let name = cstring d (arg cpu mem 1) in
       let norm = normalize_class_name name in
       ignore (Vm.find_class d.d_vm norm);
@@ -729,8 +742,8 @@ let install_jni d =
       Cpu.set_reg cpu 0 (method_handle d m)
     | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h))
   in
-  mount "GetMethodID" get_method_id;
-  mount "GetStaticMethodID" get_method_id;
+  mount "GetMethodID" ~charge:(scan 2) get_method_id;
+  mount "GetStaticMethodID" ~charge:(scan 2) get_method_id;
   let get_field_id static cpu mem =
     let h = arg cpu mem 1 in
     let name = cstring d (arg cpu mem 2) in
@@ -738,8 +751,8 @@ let install_jni d =
     | Some cls -> Cpu.set_reg cpu 0 (field_handle d cls name static)
     | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h))
   in
-  mount "GetFieldID" (get_field_id false);
-  mount "GetStaticFieldID" (get_field_id true);
+  mount "GetFieldID" ~charge:(scan 2) (get_field_id false);
+  mount "GetStaticFieldID" ~charge:(scan 2) (get_field_id true);
 
   (* --- Table II: the 90 Call<Type>Method{,V,A} wrappers --- *)
   List.iter
@@ -842,7 +855,7 @@ let install_jni d =
     [ 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ];
 
   (* --- strings --- *)
-  mount "GetStringUTFChars" (fun cpu mem ->
+  mount "GetStringUTFChars" ~charge:string_len (fun cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_id, s) ->
         let buf = A.Native_heap.malloc d.d_nheap (String.length s + 1) in
@@ -862,7 +875,7 @@ let install_jni d =
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) -> Cpu.set_reg cpu 0 (String.length s)
       | None -> Cpu.set_reg cpu 0 0);
-  mount "GetStringChars" (fun cpu mem ->
+  mount "GetStringChars" ~charge:string_len (fun cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) ->
         let buf = A.Native_heap.malloc d.d_nheap ((String.length s + 1) * 2) in
@@ -884,6 +897,11 @@ let install_jni d =
       | Heap.Array { elems; _ } -> Some (id, elems)
       | Heap.String _ | Heap.Instance _ -> None)
     | _ -> None
+  in
+  let array_len b cpu mem =
+    match array_of_iref (arg cpu mem 1) with
+    | Some (_, elems) -> Budget.charge b (Array.length elems)
+    | None -> ()
   in
   mount "GetArrayLength" (fun cpu mem ->
       match array_of_iref (arg cpu mem 1) with
@@ -911,7 +929,7 @@ let install_jni d =
     (fun ty ->
       let tn = type_name ty in
       let width = match ty with 'J' | 'D' -> 8 | _ -> 4 in
-      mount
+      mount ~charge:array_len
         (Printf.sprintf "Get%sArrayElements" tn)
         (fun cpu mem ->
           match array_of_iref (arg cpu mem 1) with
@@ -925,7 +943,7 @@ let install_jni d =
               elems;
             Cpu.set_reg cpu 0 buf
           | None -> Cpu.set_reg cpu 0 0);
-      mount
+      mount ~charge:array_len
         (Printf.sprintf "Release%sArrayElements" tn)
         (fun cpu mem ->
           let mode = arg cpu mem 3 in
@@ -946,7 +964,7 @@ let install_jni d =
     (fun ty ->
       let tn = type_name ty in
       let width = match ty with 'J' | 'D' -> 8 | _ -> 4 in
-      mount
+      mount ~charge:(sized 3)
         (Printf.sprintf "Get%sArrayRegion" tn)
         (fun cpu mem ->
           match array_of_iref (arg cpu mem 1) with
@@ -961,7 +979,7 @@ let install_jni d =
                   (Int32.to_int (Dvalue.as_int elems.(start + i)) land mask32)
             done
           | None -> ());
-      mount
+      mount ~charge:(sized 3)
         (Printf.sprintf "Set%sArrayRegion" tn)
         (fun cpu mem ->
           match array_of_iref (arg cpu mem 1) with
@@ -985,7 +1003,7 @@ let install_jni d =
         if len > 0 then Memory.write_string mem buf (String.sub s start len);
         Memory.write_u8 mem (buf + max 0 len) 0
       | None -> ());
-  mount "GetStringRegion" (fun cpu mem ->
+  mount "GetStringRegion" ~charge:(sized 3) (fun cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) ->
         let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
@@ -1059,7 +1077,7 @@ let install_jni d =
     [ ("", false); ("Static", true) ];
 
   (* --- exceptions --- *)
-  mount "ThrowNew" (fun cpu mem ->
+  mount "ThrowNew" ~charge:(scan 2) (fun cpu mem ->
       let self = Machine.host_fn_addr d.d_machine "ThrowNew" in
       (* initException reads r1 = jclass, r2 = message char* — already set *)
       let msg_addr = arg cpu mem 2 in
@@ -1096,7 +1114,15 @@ let install_jni d =
   mount "ExceptionClear" (fun _cpu _mem -> d.pending_throw <- None);
 
   (* --- reference management --- *)
-  mount "RegisterNatives" (fun cpu mem ->
+  let charge_natives b cpu mem =
+    (* one unit per table entry plus each name, paid entry by entry *)
+    let table = arg cpu mem 2 in
+    for i = 0 to arg cpu mem 3 - 1 do
+      Budget.charge b
+        (1 + A.Libc_model.cstr_len mem (Memory.read_u32 mem (table + (12 * i))))
+    done
+  in
+  mount "RegisterNatives" ~charge:charge_natives (fun cpu mem ->
       (* (env, jclass, JNINativeMethod* {name, sig, fnPtr} x n, n) *)
       match class_of_handle d (arg cpu mem 1) with
       | None -> Cpu.set_reg cpu 0 (0xFFFFFFFF (* JNI_ERR *))
@@ -1134,7 +1160,9 @@ let install_system_libs d =
     (fun (name, run) ->
       let addr = !next in
       next := addr + 0x40;
-      ignore (Machine.mount_host_fn d.d_machine ~lib:"libc.so" ~name ~addr run))
+      ignore
+        (Machine.mount_host_fn d.d_machine ~lib:"libc.so" ~name ~addr
+           ?charge:(A.Libc_model.charge name) run))
     (A.Libc_model.functions d.d_libc);
   let next = ref (Layout.libm_base + 0x100) in
   List.iter

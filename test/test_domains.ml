@@ -1,16 +1,11 @@
-(* The domain engine: three-way engine parity, the bounded warm layer,
-   domain-safety of the shared service, the in-process worker pool, and
-   single-flight coalescing in the daemon.
-
-   This suite spawns domains, and OCaml 5 forbids [Unix.fork] once any
-   domain has ever existed in the process — so this suite must register
-   LAST in test_main, and the one test here that forks (the engine
-   differential, via the forked pool engine) must run FIRST within it. *)
+(* The worker engine: parity across worker counts, the work budget on
+   adversarial loops, the bounded warm layer, domain-safety of the shared
+   service, the worker pool itself, and single-flight coalescing and
+   streaming in the daemon. *)
 
 module Json = Ndroid_report.Json
 module Verdict = Ndroid_report.Verdict
 module Task = Ndroid_pipeline.Task
-module Engine = Ndroid_pipeline.Engine
 module Pool = Ndroid_pipeline.Pool
 module Analysis = Ndroid_pipeline.Analysis
 module Domain_pool = Ndroid_pipeline.Domain_pool
@@ -34,120 +29,102 @@ let json_of reports =
 
 let report_json r = Json.to_string (Verdict.report_to_json r)
 
-(* ---- stream differential: both engines, identical event streams ----
+(* ---- parity: inline, one worker and four workers agree ---- *)
 
-   The fork half runs first (it forks a daemon, which is only legal before
-   any domain exists); the domains half runs at the end of the suite and
-   compares against the stream the fork half left here. *)
-
-let stream_apps = [ "case1"; "case2"; "QQPhoneBook3.5" ]
-let fork_streams : string list list option ref = ref None
-
-(* one inline-traced submission per app, events as canonical JSON lines *)
-let streams_of_daemon socket =
-  let c =
-    match Proto.Client.connect ~retry_for:10.0 socket with
-    | Ok c ->
-      Unix.setsockopt_float (Proto.Client.fd c) Unix.SO_RCVTIMEO 30.0;
-      c
-    | Error e -> Alcotest.failf "connect: %s" e
-  in
-  let one i name =
-    Proto.Client.send c
-      (Proto.Submit
-         { sb_req = i; sb_subject = Task.Bundled name; sb_mode = Task.Hybrid;
-           sb_deadline = None; sb_fault = None; sb_trace = true });
-    let rec go acc =
-      match Proto.Client.recv c with
-      | Error e -> Alcotest.failf "recv: %s" e
-      | Ok (Proto.Trace tc) ->
-        go
-          (acc
-          @ List.map
-              (fun ev -> Json.to_string (Stream.event_json ev))
-              tc.Proto.tc_events)
-      | Ok (Proto.Verdict _) -> acc
-      | Ok (Proto.Progress _) -> go acc
-      | Ok _ -> Alcotest.fail "unexpected message"
-    in
-    go []
-  in
-  let streams = List.mapi one stream_apps in
-  Proto.Client.close c;
-  streams
-
-let test_stream_differential_fork_half () =
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ndroid-test-stream-fork-%d.sock" (Unix.getpid ()))
-  in
-  match Unix.fork () with
-  | 0 ->
-    (try
-       ignore
-         (Server.serve
-            (Server.config ~socket ~jobs:1 ~engine:Engine.Fork ()))
-     with _ -> ());
-    Unix._exit 0
-  | pid ->
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid);
-        try Unix.unlink socket with Unix.Unix_error _ -> ())
-      (fun () ->
-        let streams = streams_of_daemon socket in
-        List.iter2
-          (fun name s ->
-            Alcotest.(check bool) (name ^ ": fork engine streamed") true
-              (s <> []))
-          stream_apps streams;
-        fork_streams := Some streams)
-
-(* ---- engine parity (forks: must stay the first test of this suite) ---- *)
-
-let test_engine_differential () =
+let test_jobs_differential () =
   let corpora =
     [ ("bundled both", bundled_tasks Task.Both);
       ("market 300 static", slice 300) ]
   in
-  let inline = List.map (fun (_, ts) -> json_of (Pool.run_inline ts)) corpora in
-  (* every forked run happens before the first domain spawn below *)
-  let engine_run engine tasks =
-    let reports, stats =
-      Pool.run (Pool.config ~jobs:2 ~engine ()) tasks
-    in
-    Alcotest.(check string) "stats name the engine" (Engine.name engine)
-      stats.Pool.s_engine;
-    json_of reports
-  in
-  let forked = List.map (fun (_, ts) -> engine_run Engine.Fork ts) corpora in
-  let domains =
-    List.map (fun (_, ts) -> engine_run Engine.Domains ts) corpora
-  in
-  List.iteri
-    (fun i (name, _) ->
-      Alcotest.(check string) (name ^ ": fork == inline") (List.nth inline i)
-        (List.nth forked i);
-      Alcotest.(check string) (name ^ ": domains == inline")
-        (List.nth inline i) (List.nth domains i))
+  List.iter
+    (fun (name, tasks) ->
+      let inline = json_of (Pool.run_inline tasks) in
+      List.iter
+        (fun jobs ->
+          let reports, _ = Pool.run (Pool.config ~jobs ()) tasks in
+          Alcotest.(check string)
+            (Printf.sprintf "%s: jobs %d == inline" name jobs)
+            inline (json_of reports))
+        [ 1; 4 ])
     corpora
 
-let test_engine_auto_resolution () =
-  (* auto picks domains for clean work and fork for anything needing
-     isolation; an explicit engine is obeyed *)
-  Alcotest.(check string) "auto, clean" "domains"
-    (Engine.name (Engine.resolve Engine.Auto ~needs_isolation:false));
-  Alcotest.(check string) "auto, isolation" "fork"
-    (Engine.name (Engine.resolve Engine.Auto ~needs_isolation:true));
-  Alcotest.(check string) "forced domains" "domains"
-    (Engine.name (Engine.resolve Engine.Domains ~needs_isolation:true));
-  (match Engine.of_name "domains" with
-   | Ok Engine.Domains -> ()
-   | _ -> Alcotest.fail "of_name domains");
-  match Engine.of_name "threads" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "of_name accepted garbage"
+(* ---- the work budget: loops that never end on their own ---- *)
+
+let with_domains_daemon ?(jobs = 1) ?stream_buf name f =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ndroid-test-%s-%d.sock" name (Unix.getpid ()))
+  in
+  let stop = Atomic.make false in
+  let cfg =
+    Server.config ~socket ~jobs ?stream_buf
+      ~stop:(fun () -> Atomic.get stop)
+      ()
+  in
+  let daemon = Domain.spawn (fun () -> Server.serve cfg) in
+  match f socket with
+  | exception e ->
+    Atomic.set stop true;
+    ignore (Domain.join daemon);
+    raise e
+  | v ->
+    Atomic.set stop true;
+    (Domain.join daemon, v)
+
+let connect socket =
+  match Proto.Client.connect ~retry_for:10.0 socket with
+  | Ok c ->
+    Unix.setsockopt_float (Proto.Client.fd c) Unix.SO_RCVTIMEO 30.0;
+    c
+  | Error e -> Alcotest.failf "connect: %s" e
+
+let rec daemon_verdict c =
+  match Proto.Client.recv c with
+  | Ok (Proto.Verdict v) -> v.vd_report
+  | Ok (Proto.Progress _) -> daemon_verdict c
+  | Ok _ -> Alcotest.fail "unexpected message"
+  | Error e -> Alcotest.failf "recv: %s" e
+
+(* The loop app first, then a few ordinary apps that must not notice it:
+   the same bytes inline, at one and four workers and from the daemon. *)
+let test_loop_times_out name () =
+  let loop =
+    { Task.t_id = 0; t_subject = Task.Bundled name; t_mode = Task.Dynamic;
+      t_fault = None }
+  in
+  let tasks =
+    loop
+    :: List.map
+         (fun (t : Task.t) ->
+           { t with Task.t_id = t.Task.t_id + 1; t_mode = Task.Dynamic })
+         (slice 6)
+  in
+  (match (Analysis.run loop).Verdict.r_verdict with
+   | Verdict.Timeout -> ()
+   | v -> Alcotest.failf "%s: expected a timeout, got %a" name Verdict.pp v);
+  let inline = Pool.run_inline tasks in
+  List.iter
+    (fun jobs ->
+      let reports, stats = Pool.run (Pool.config ~jobs ()) tasks in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: jobs %d == inline" name jobs)
+        (json_of inline) (json_of reports);
+      Alcotest.(check int) "one timeout" 1 stats.Pool.s_timeouts)
+    [ 1; 4 ];
+  let _, served =
+    with_domains_daemon ~jobs:2 "loop" (fun socket ->
+        let c = connect socket in
+        Proto.Client.send c
+          (Proto.Submit
+             { sb_req = 0; sb_subject = loop.Task.t_subject;
+               sb_mode = loop.Task.t_mode; sb_deadline = None;
+               sb_fault = None; sb_trace = false });
+        let r = daemon_verdict c in
+        Proto.Client.close c;
+        r)
+  in
+  Alcotest.(check string) (name ^ ": daemon == inline")
+    (report_json inline.(0)) (report_json served)
 
 (* ---- the bounded warm layer ---- *)
 
@@ -274,7 +251,6 @@ let test_single_flight () =
   let stop = Atomic.make false in
   let cfg =
     Server.config ~socket ~jobs:2 ~depth:64 ~max_clients:4
-      ~engine:Engine.Domains
       ~stop:(fun () -> Atomic.get stop)
       ()
   in
@@ -353,97 +329,49 @@ let test_single_flight () =
       st.Server.sv_coalesced;
     Alcotest.(check int) "all served" n st.Server.sv_served
 
-let test_domains_daemon_sheds_isolation () =
-  (* a domain-engine daemon cannot act a fault or enforce a deadline —
-     such submits must shed with a reason, not be silently mis-served *)
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ndroid-test-iso-%d.sock" (Unix.getpid ()))
-  in
-  let stop = Atomic.make false in
-  let cfg =
-    Server.config ~socket ~jobs:1 ~engine:Engine.Domains
-      ~stop:(fun () -> Atomic.get stop)
-      ()
-  in
-  let daemon = Domain.spawn (fun () -> Server.serve cfg) in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      ignore (Domain.join daemon))
-    (fun () ->
-      let c =
-        match Proto.Client.connect ~retry_for:10.0 socket with
-        | Ok c ->
-          Unix.setsockopt_float (Proto.Client.fd c) Unix.SO_RCVTIMEO 30.0;
-          c
-        | Error e -> Alcotest.failf "connect: %s" e
-      in
-      let task = List.hd (slice 1) in
-      Proto.Client.send c
-        (Proto.Submit
-           { sb_req = 0; sb_subject = task.Task.t_subject;
-             sb_mode = task.Task.t_mode; sb_deadline = Some 0.5;
-             sb_fault = None; sb_trace = false });
-      (match Proto.Client.recv c with
-       | Ok (Proto.Shed _) -> ()
-       | _ -> Alcotest.fail "deadline-bearing submit must shed");
-      (* a clean submit on the same connection still works *)
-      Proto.Client.send c
-        (Proto.Submit
-           { sb_req = 1; sb_subject = task.Task.t_subject;
-             sb_mode = task.Task.t_mode; sb_deadline = None; sb_fault = None;
-             sb_trace = false });
-      let rec wait_verdict () =
-        match Proto.Client.recv c with
-        | Ok (Proto.Verdict v) ->
-          Alcotest.(check string) "clean submit served" "static"
-            v.vd_report.Verdict.r_analysis
-        | Ok (Proto.Progress _) -> wait_verdict ()
-        | _ -> Alcotest.fail "clean submit must get a verdict"
-      in
-      wait_verdict ();
-      Proto.Client.close c);
-  match Server.config ~socket ~engine:Engine.Domains ~deadline:1.0 () with
-  | _ -> Alcotest.fail "domains + default deadline must be rejected"
-  | exception Invalid_argument _ -> ()
+(* ---- streaming ---- *)
 
-(* ---- streaming under the domain engine ---- *)
+(* one inline-traced submission per app, events as canonical JSON lines *)
+let stream_apps = [ "case1"; "case2"; "QQPhoneBook3.5" ]
 
-let with_domains_daemon ?(jobs = 1) ?stream_buf name f =
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ndroid-test-%s-%d.sock" name (Unix.getpid ()))
+let streams_of_daemon socket =
+  let c = connect socket in
+  let one i name =
+    Proto.Client.send c
+      (Proto.Submit
+         { sb_req = i; sb_subject = Task.Bundled name; sb_mode = Task.Hybrid;
+           sb_deadline = None; sb_fault = None; sb_trace = true });
+    let rec go acc =
+      match Proto.Client.recv c with
+      | Error e -> Alcotest.failf "recv: %s" e
+      | Ok (Proto.Trace tc) ->
+        go
+          (acc
+          @ List.map
+              (fun ev -> Json.to_string (Stream.event_json ev))
+              tc.Proto.tc_events)
+      | Ok (Proto.Verdict _) -> acc
+      | Ok (Proto.Progress _) -> go acc
+      | Ok _ -> Alcotest.fail "unexpected message"
+    in
+    go []
   in
-  let stop = Atomic.make false in
-  let cfg =
-    Server.config ~socket ~jobs ~engine:Engine.Domains ?stream_buf
-      ~stop:(fun () -> Atomic.get stop)
-      ()
-  in
-  let daemon = Domain.spawn (fun () -> Server.serve cfg) in
-  match f socket with
-  | exception e ->
-    Atomic.set stop true;
-    ignore (Domain.join daemon);
-    raise e
-  | v ->
-    Atomic.set stop true;
-    (Domain.join daemon, v)
+  let streams = List.mapi one stream_apps in
+  Proto.Client.close c;
+  streams
 
-let test_stream_differential_domains_half () =
-  let reference =
-    match !fork_streams with
-    | Some s -> s
-    | None -> Alcotest.fail "fork half of the differential did not run first"
-  in
-  let _, streams =
-    with_domains_daemon "stream-dom" (fun socket -> streams_of_daemon socket)
-  in
+(* A task's stream depends on the task alone: per-task throttles over a
+   ring cleared per task, whichever worker ran it and whatever it ran
+   before. *)
+let test_stream_differential () =
+  let _, one = with_domains_daemon ~jobs:1 "stream-1" streams_of_daemon in
+  let _, two = with_domains_daemon ~jobs:2 "stream-2" streams_of_daemon in
   List.iteri
     (fun i name ->
-      Alcotest.(check (list string)) (name ^ ": domains stream == fork stream")
-        (List.nth reference i) (List.nth streams i))
+      Alcotest.(check bool) (name ^ ": the daemon streamed") true
+        (List.nth one i <> []);
+      Alcotest.(check (list string)) (name ^ ": jobs 2 stream == jobs 1 stream")
+        (List.nth one i) (List.nth two i))
     stream_apps
 
 let test_slow_subscriber_sheds_not_stalls () =
@@ -510,20 +438,20 @@ let test_slow_subscriber_sheds_not_stalls () =
         (Printf.sprintf "verdict %d bit-identical despite the subscriber" i)
         e got.(i))
     expected;
-  Alcotest.(check bool) "the engines streamed events" true
+  Alcotest.(check bool) "the workers streamed events" true
     (st.Server.sv_trace_events > 0);
   Alcotest.(check bool) "undeliverable frames shed and counted" true
     (st.Server.sv_trace_lost > 0);
   Alcotest.(check int) "one subscriber" 1 st.Server.sv_subscribers
 
 let suite =
-  [ Alcotest.test_case "daemon: fork engine streams (differential, half 1)"
-      `Quick test_stream_differential_fork_half;
-    Alcotest.test_case
-      "engines: inline == fork == domains (bundled + market)" `Quick
-      test_engine_differential;
-    Alcotest.test_case "engines: auto resolves on isolation needs" `Quick
-      test_engine_auto_resolution;
+  [ Alcotest.test_case
+      "engines: inline, one worker and four workers agree (bundled + market)"
+      `Quick test_jobs_differential;
+    Alcotest.test_case "budget: a Dalvik goto-self loop times out everywhere"
+      `Quick (test_loop_times_out Adversarial.dalvik);
+    Alcotest.test_case "budget: a native b . loop times out everywhere"
+      `Quick (test_loop_times_out Adversarial.native);
     Alcotest.test_case "service: capacity bound evicts, recomputes identically"
       `Quick test_service_eviction;
     Alcotest.test_case "service: second chance keeps hot entries" `Quick
@@ -533,10 +461,9 @@ let suite =
       `Quick test_domain_pool_roundtrip;
     Alcotest.test_case "daemon: single-flight coalesces a herd" `Quick
       test_single_flight;
-    Alcotest.test_case "daemon: domains engine sheds isolation needs" `Quick
-      test_domains_daemon_sheds_isolation;
-    Alcotest.test_case
-      "daemon: both engines stream identical events (differential, half 2)"
-      `Quick test_stream_differential_domains_half;
+    Alcotest.test_case "daemon: streams identical events across worker counts"
+      `Quick test_stream_differential;
     Alcotest.test_case "daemon: slow subscriber sheds, never stalls" `Quick
-      test_slow_subscriber_sheds_not_stalls ]
+      test_slow_subscriber_sheds_not_stalls;
+    Alcotest.test_case "budget: a memset of 4 GiB times out everywhere"
+      `Quick (test_loop_times_out Adversarial.memset) ]

@@ -30,7 +30,4 @@ let () =
       ("pipeline", Test_pipeline.suite);
       ("service", Test_service.suite);
       ("obs", Test_obs.suite);
-      (* last: this suite spawns domains, and Unix.fork is illegal in
-         OCaml 5 once any domain has ever existed in the process — every
-         forking suite above must run first *)
       ("domains", Test_domains.suite) ]

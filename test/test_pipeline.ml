@@ -1,6 +1,6 @@
 (* The batch pipeline: canonical JSON, the unified verdict, the sharded
-   worker pool (timeouts, crash isolation, fault injection, determinism
-   across --jobs) and the on-disk result cache. *)
+   worker pool (budget timeouts, crash isolation, determinism across
+   --jobs), the work budget itself and the on-disk result cache. *)
 
 module T = Ndroid_taint.Taint
 module Json = Ndroid_report.Json
@@ -13,6 +13,9 @@ module Analysis = Ndroid_pipeline.Analysis
 module Shard_queue = Ndroid_pipeline.Shard_queue
 module Wire = Ndroid_pipeline.Wire
 module Market = Ndroid_corpus.Market
+module Budget = Ndroid_budget.Budget
+module H = Ndroid_apps.Harness
+module Registry = Ndroid_apps.Registry
 
 let flow ?(sink = "Socket.send") ?(site = "Lcom/a;->leak") ?(ctx = Flow.Java_ctx)
     taint =
@@ -127,6 +130,20 @@ let prop_json_roundtrip =
       in
       back Json.to_string && back Json.to_string_hum)
 
+(* A hostile frame of brackets is refused at the depth limit, in time
+   linear in the limit, not the input *)
+let test_json_depth_limit () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  (match Json.of_string (nested Json.max_depth) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "depth %d refused: %s" Json.max_depth e);
+  (match Json.of_string (nested (Json.max_depth + 1)) with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "nesting past the limit accepted");
+  match Json.of_string (String.make 1_000_000 '[') with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a million open brackets accepted"
+
 let test_verdict_normalize () =
   Alcotest.(check bool) "empty flagged is clean" true
     (Verdict.equal (Verdict.Flagged []) Verdict.Clean);
@@ -136,11 +153,21 @@ let test_verdict_normalize () =
 
 (* ---- wire protocol ---- *)
 
+(* one bare frame: a 4-byte big-endian length, then the payload *)
+let frame payload =
+  let n = String.length payload in
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  Bytes.to_string b
+
 let test_wire_roundtrip () =
   let r, w = Unix.pipe () in
-  Wire.write_frame w "hello";
-  Wire.write_frame w "";
-  Wire.write_frame w (String.make 10_000 'x');
+  List.iter
+    (fun p ->
+      let f = frame p in
+      ignore (Unix.write_substring w f 0 (String.length f)))
+    [ "hello"; ""; String.make 10_000 'x' ];
   Alcotest.(check (option string)) "frame 1" (Some "hello") (Wire.read_frame r);
   Alcotest.(check (option string)) "frame 2" (Some "") (Wire.read_frame r);
   Alcotest.(check (option string)) "frame 3"
@@ -154,13 +181,7 @@ let test_wire_incremental () =
   (* a frame delivered byte-by-byte must come out whole *)
   let r, w = Unix.pipe () in
   let reader = Wire.create_reader () in
-  let len = 5 in
-  let raw =
-    let b = Bytes.create (4 + len) in
-    Bytes.set_int32_be b 0 (Int32.of_int len);
-    Bytes.blit_string "abcde" 0 b 4 len;
-    Bytes.to_string b
-  in
+  let raw = frame "abcde" in
   let got = ref [] in
   String.iter
     (fun c ->
@@ -179,7 +200,10 @@ let test_wire_incremental () =
 (* ---- shard queue ---- *)
 
 let test_shard_queue () =
-  let q = Shard_queue.create ~shards:2 [ 0; 1; 2; 3; 4; 5 ] in
+  let q = Shard_queue.create_empty ~shards:2 () in
+  List.iteri
+    (fun i x -> ignore (Shard_queue.push q ~shard:(i mod 2) x))
+    [ 0; 1; 2; 3; 4; 5 ];
   (* shard 0 was dealt 0;2;4 in order *)
   Alcotest.(check (option int)) "own front" (Some 0) (Shard_queue.pop q ~shard:0);
   Alcotest.(check (option int)) "own order" (Some 2) (Shard_queue.pop q ~shard:0);
@@ -191,9 +215,9 @@ let test_shard_queue () =
   let rec drain n = if Shard_queue.pop q ~shard:1 <> None then drain (n + 1) else n in
   ignore (drain 0);
   Alcotest.(check int) "all consumed" 0 (Shard_queue.remaining q);
-  Alcotest.check_raises "bounded"
-    (Invalid_argument "Shard_queue.create: 3 items exceed the 2-task bound")
-    (fun () -> ignore (Shard_queue.create ~shards:1 ~capacity:2 [ 1; 2; 3 ]))
+  let q = Shard_queue.create_empty ~shards:1 ~capacity:2 () in
+  Alcotest.(check (list bool)) "bounded" [ true; true; false ]
+    (List.map (fun x -> Shard_queue.push q ~shard:0 x) [ 1; 2; 3 ])
 
 (* ---- the pool ---- *)
 
@@ -218,9 +242,7 @@ let test_pool_matches_inline () =
 
 let test_pool_timeout () =
   let tasks = with_fault Task.Hang 2 (slice 64) in
-  let reports, stats =
-    Pool.run (Pool.config ~jobs:2 ~timeout:0.3 ()) tasks
-  in
+  let reports, stats = Pool.run (Pool.config ~jobs:2 ()) tasks in
   Alcotest.(check int) "one timeout" 1 stats.Pool.s_timeouts;
   (match reports.(2).Verdict.r_verdict with
    | Verdict.Timeout -> ()
@@ -235,16 +257,15 @@ let test_pool_timeout () =
           (r.Verdict.r_verdict = Verdict.Timeout))
     reports
 
-let test_pool_crash_respawn () =
+let test_pool_crash_contained () =
   let tasks = with_fault Task.Crash 1 (slice 64) in
   let reports, stats = Pool.run (Pool.config ~jobs:2 ()) tasks in
   (match reports.(1).Verdict.r_verdict with
    | Verdict.Crashed why ->
      Alcotest.(check string) "deterministic crash reason"
-       "worker exited with status 66" why
+       "analyzer exception: Failure(\"injected crash\")" why
    | v -> Alcotest.failf "expected crash, got %a" Verdict.pp v);
   Alcotest.(check int) "one crash" 1 stats.Pool.s_crashed;
-  Alcotest.(check bool) "worker respawned" true (stats.Pool.s_respawns >= 1);
   (* the crash cost exactly one app: everything else has a real verdict *)
   Array.iteri
     (fun i r ->
@@ -254,23 +275,6 @@ let test_pool_crash_respawn () =
           Alcotest.failf "app %d lost to the crash" i
         | _ -> ())
     reports
-
-let test_pool_injected_kill () =
-  let tasks = slice 64 in
-  let reports, stats =
-    Pool.run (Pool.config ~jobs:2 ~kill_worker_after:5 ()) tasks
-  in
-  Alcotest.(check int) "kill injected" 1 stats.Pool.s_injected_kills;
-  Alcotest.(check int) "no result lost" 64 (Array.length reports);
-  Array.iter
-    (fun r ->
-      Alcotest.(check bool) "placeholder never leaks" false
-        (r.Verdict.r_app = "?"))
-    reports;
-  (* at most the victim's in-flight app crashes; determinism aside, the
-     sweep must account for every app *)
-  Alcotest.(check bool) "at most one collateral verdict" true
-    (stats.Pool.s_crashed <= 1)
 
 let with_temp_cache f =
   let dir =
@@ -339,6 +343,60 @@ let test_digest_sensitivity () =
   Alcotest.(check bool) "app changes the key" true
     (d_static <> Analysis.digest t')
 
+(* ---- the work budget ---- *)
+
+let test_budget_counts_exactly () =
+  let b = Budget.create 10 in
+  for _ = 1 to 10 do
+    Budget.spend b
+  done;
+  Alcotest.(check int) "ten units spent" 10 (Budget.used b);
+  Alcotest.check_raises "the eleventh unit" Budget.Exhausted (fun () ->
+      Budget.spend b);
+  let cancel = Atomic.make false in
+  let b = Budget.create ~cancel max_int in
+  Budget.spend b;
+  Atomic.set cancel true;
+  Alcotest.check_raises "a cancel lands within a slice" Budget.Cancelled
+    (fun () ->
+      for _ = 1 to 1_000_000 do
+        Budget.spend b
+      done);
+  Alcotest.check_raises "sleep polls the cancel flag" Budget.Cancelled
+    (fun () -> Budget.sleep b 30.0)
+
+(* a size-driven step pays before its work, all or nothing *)
+let test_budget_charges_up_front () =
+  let b = Budget.create 10_000 in
+  Budget.spend b;
+  Budget.charge b 5_000;
+  Alcotest.(check int) "a charge spans slices" 5_001 (Budget.used b);
+  Alcotest.check_raises "more than is left" Budget.Exhausted (fun () ->
+      Budget.charge b 5_000);
+  Alcotest.check_raises "and nothing after" Budget.Exhausted (fun () ->
+      Budget.spend b);
+  (* the heap charges an array before making it: a billion elements
+     would be 8 GB *)
+  Budget.with_budget (Budget.create 1_000) (fun () ->
+      let h = Ndroid_dalvik.Heap.create () in
+      ignore (Ndroid_dalvik.Heap.alloc_array h "I" 1_000);
+      Alcotest.check_raises "the heap pays per element" Budget.Exhausted
+        (fun () -> ignore (Ndroid_dalvik.Heap.alloc_array h "I" 1_000_000_000)))
+
+(* the sizing the budget's comment claims: three orders of magnitude
+   between the largest bundled dynamic analysis and the bound *)
+let test_budget_headroom () =
+  List.iter
+    (fun (app : H.app) ->
+      let b = Budget.create Analysis.work_budget in
+      Budget.with_budget b (fun () ->
+          ignore (H.run ~summaries:true H.Ndroid_full app));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d units" app.H.app_name (Budget.used b))
+        true
+        (Budget.used b * 1000 <= Analysis.work_budget))
+    Registry.all
+
 let suite =
   [ Alcotest.test_case "json: golden report bytes" `Quick test_json_golden;
     Alcotest.test_case "json: object keys sorted" `Quick test_json_sorted_keys;
@@ -354,9 +412,7 @@ let suite =
     Alcotest.test_case "pool: hung app records timeout" `Quick
       test_pool_timeout;
     Alcotest.test_case "pool: crash isolates and respawns" `Quick
-      test_pool_crash_respawn;
-    Alcotest.test_case "pool: injected kill loses nothing" `Quick
-      test_pool_injected_kill;
+      test_pool_crash_contained;
     Alcotest.test_case "cache: inline hit/miss accounting" `Quick
       test_cache_hit_miss;
     Alcotest.test_case "cache: warm pool skips workers" `Quick
@@ -365,4 +421,12 @@ let suite =
       test_cache_corrupt_entry;
     Alcotest.test_case "cache: digests separate modes and apps" `Quick
       test_digest_sensitivity;
-    QCheck_alcotest.to_alcotest prop_json_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    Alcotest.test_case "json: nesting past the depth limit is an error" `Quick
+      test_json_depth_limit;
+    Alcotest.test_case "budget: exact count, cancel within a slice" `Quick
+      test_budget_counts_exactly;
+    Alcotest.test_case "budget: a charge pays up front or not at all" `Quick
+      test_budget_charges_up_front;
+    Alcotest.test_case "budget: bundled apps leave three orders of headroom"
+      `Quick test_budget_headroom ]

@@ -1,6 +1,6 @@
 (* The analysis service: the typed protocol, the service facade, and the
    daemon — request/verdict parity with batch analysis, per-client
-   fairness, overload shedding, and surviving worker death. *)
+   fairness, overload shedding, and deadlines that cancel. *)
 
 module Json = Ndroid_report.Json
 module Verdict = Ndroid_report.Verdict
@@ -97,6 +97,24 @@ let test_proto_version_mismatch () =
   | Ok _ -> Alcotest.fail "empty frame accepted"
   | Error _ -> ()
 
+(* analyses run in worker domains, so there is no process to kill: a
+   Submit carrying the kill fault is a protocol error *)
+let test_proto_refuses_kill () =
+  let submit fault =
+    Printf.sprintf
+      "{\"deadline\":null,\"fault\":\"%s\",\"mode\":\"static\",\"req\":0,\
+       \"subject\":{\"kind\":\"bundled\",\"name\":\"case1\"},\
+       \"trace\":false}"
+      fault
+    |> Wire.encode_tagged ~tag:'S' |> strip_length |> Proto.of_frame
+  in
+  (match submit "crash" with
+   | Ok (Proto.Submit _) -> ()
+   | _ -> Alcotest.fail "a crash fault must still parse");
+  match submit "kill" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a kill fault was accepted"
+
 (* ---- the service queue discipline ---- *)
 
 let test_queue_service_discipline () =
@@ -133,7 +151,7 @@ let test_service_facade () =
     (Json.to_string (Verdict.report_to_json r1))
     (Json.to_string (Verdict.report_to_json r2));
   (* fault-marked requests must never be answered from (or poison) the
-     warm layer: the marker asks for a live worker run *)
+     warm layer: the marker asks for a live run *)
   let faulted = { task with Task.t_fault = Some (Task.Sleep 0.0) } in
   let _, fhit1 = Analysis.service_run sv faulted in
   let _, fhit2 = Analysis.service_run sv faulted in
@@ -158,23 +176,23 @@ let tmp_name prefix =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.int 1_000_000))
 
+(* the daemon lives in a sibling domain of the test; the stop hook shuts
+   it down without signals *)
 let with_daemon ?(jobs = 1) ?depth ?max_clients ?deadline f =
   let socket = tmp_name "ndroid-test-sock" in
-  match Unix.fork () with
-  | 0 ->
-    (try
-       ignore
-         (Server.serve (Server.config ~socket ~jobs ?depth ?max_clients
-                          ?deadline ()))
-     with _ -> ());
-    Unix._exit 0
-  | pid ->
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid);
-        try Unix.unlink socket with Unix.Unix_error _ -> ())
-      (fun () -> f socket)
+  let stop = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Server.serve
+          (Server.config ~socket ~jobs ?depth ?max_clients ?deadline
+             ~stop:(fun () -> Atomic.get stop)
+             ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join daemon))
+    (fun () -> f socket)
 
 let connect socket =
   match Proto.Client.connect ~retry_for:10.0 socket with
@@ -308,45 +326,43 @@ let test_daemon_overload_sheds () =
         (Printf.sprintf "overload shed some load (%d)" sheds) true (sheds > 0);
       Proto.Client.close c)
 
-let test_daemon_survives_worker_kill () =
-  (* SIGKILL lands on the worker mid-request: that request gets a Crashed
-     verdict, the daemon respawns and serves the next request normally *)
-  let victim = { (List.hd (slice 1)) with Task.t_fault = Some Task.Kill } in
-  let clean = List.hd (slice 1) in
-  with_daemon ~jobs:1 (fun socket ->
-      let c = connect socket in
-      submit c victim;
-      (match collect c 1 with
-       | [ (0, `Verdict (r, _)) ] -> (
-         match r.Verdict.r_verdict with
-         | Verdict.Crashed why ->
-           Alcotest.(check bool) "says how the worker died" true
-             (contains ~affix:"SIGKILL" why)
-         | _ -> Alcotest.fail "expected a Crashed verdict")
-       | _ -> Alcotest.fail "expected one verdict");
-      submit c clean;
-      (match collect c 1 with
-       | [ (0, `Verdict (r, _)) ] ->
-         Alcotest.(check string) "respawned worker analyzes normally"
-           "static" r.Verdict.r_analysis
-       | _ -> Alcotest.fail "expected one verdict after the respawn");
-      Proto.Client.close c)
-
+(* A deadline cancels the running analysis: a sleeping request answers
+   [Timeout] at its deadline, and the worker serves the next request.  A
+   cancelled [Timeout] is never cached, while one from the spent work
+   budget is a fact about the app and is. *)
 let test_daemon_deadline () =
-  let hung = { (List.hd (slice 1)) with Task.t_fault = Some Task.Hang } in
+  let sleeper =
+    { (List.hd (slice 1)) with Task.t_fault = Some (Task.Sleep 20.0) }
+  in
   let clean = List.hd (slice 1) in
+  let loop =
+    { Task.t_id = 0; t_subject = Task.Bundled Adversarial.native;
+      t_mode = Task.Dynamic; t_fault = None }
+  in
+  (* submit, expect a [Timeout], tell whether it came from the cache *)
+  let timeout c ?deadline task =
+    submit c ?deadline task;
+    match collect c 1 with
+    | [ (0, `Verdict (r, cached)) ] ->
+      Alcotest.(check bool) "times out" true
+        (r.Verdict.r_verdict = Verdict.Timeout);
+      cached
+    | _ -> Alcotest.fail "expected one verdict"
+  in
   with_daemon ~jobs:1 (fun socket ->
       let c = connect socket in
-      submit c ~deadline:0.2 hung;
-      (match collect c 1 with
-       | [ (0, `Verdict (r, _)) ] ->
-         Alcotest.(check bool) "hung request times out" true
-           (r.Verdict.r_verdict = Verdict.Timeout)
-       | _ -> Alcotest.fail "expected one verdict");
+      let t0 = Unix.gettimeofday () in
+      ignore (timeout c ~deadline:0.2 sleeper);
+      Alcotest.(check bool) "cancelled at the deadline" true
+        (Unix.gettimeofday () -. t0 < 10.0);
       submit c clean;
       (match collect c 1 with
        | [ (0, `Verdict _) ] -> ()
-       | _ -> Alcotest.fail "daemon must outlive the deadline kill");
+       | _ -> Alcotest.fail "the daemon must serve past the deadline");
+      Alcotest.(check bool) "cancelled: computed" false
+        (timeout c ~deadline:0.001 loop);
+      Alcotest.(check bool) "budget spent: computed" false (timeout c loop);
+      Alcotest.(check bool) "budget spent: cached" true (timeout c loop);
       Proto.Client.close c)
 
 (* ---- live streaming through the daemon ---- *)
@@ -494,8 +510,6 @@ let suite =
       `Quick test_daemon_fairness;
     Alcotest.test_case "daemon: overload sheds, nothing stalls" `Quick
       test_daemon_overload_sheds;
-    Alcotest.test_case "daemon: survives worker SIGKILL mid-request" `Quick
-      test_daemon_survives_worker_kill;
     Alcotest.test_case "daemon: per-request deadline kills and recovers"
       `Quick test_daemon_deadline;
     Alcotest.test_case "daemon: submit --trace streams before the verdict"
@@ -507,4 +521,6 @@ let suite =
     Alcotest.test_case "pool: progress uniform across cache hits" `Quick
       test_inline_progress_uniform;
     Alcotest.test_case "pool: batch stats report zero shed" `Quick
-      test_pool_stats_shed_zero ]
+      test_pool_stats_shed_zero;
+    Alcotest.test_case "proto: a kill fault is refused" `Quick
+      test_proto_refuses_kill ]
