@@ -1206,11 +1206,15 @@ let pipeline () =
      verdicts identical: %b\n%!"
     sf_n sf_coalesced sf_cached sf_identical;
   (* ---- streaming: a live subscriber must not slow the sweep ----
-     Fresh daemon per run (a cold warm layer every time), best of two to
-     damp scheduler noise.  The draining subscriber is read on the bench's
-     own domain between the sweep's responses, counting every event, so
-     the daemon pays only the fan-out — the thing being measured — and
-     the subscribed run has no more domains than the unsubscribed one.
+     Fresh daemon per run (a cold warm layer every time).  The estimate
+     is the median ratio over [stream_pairs] interleaved (unsubscribed,
+     subscribed) pairs, alternating which of the two runs first, so a
+     slow spell on a shared box lands on both sides of a pair and an
+     outlier pair does not move the median.  The draining subscriber is
+     read on the bench's own domain between the sweep's responses,
+     counting every event, so the daemon pays only the fan-out — the
+     thing being measured — and the subscribed run has no more domains
+     than the unsubscribed one.
      The wedged subscriber never reads behind a deliberately tiny
      outbound bound: frames are shed, verdicts are not.  Market apps
      declare native classes but their synthetic [onCreate] never calls
@@ -1300,35 +1304,49 @@ let pipeline () =
     (* the daemon is gone, so the subscriber's connection is at its EOF *)
     (reports, sheds, dt, finish ())
   in
-  let min_by_dt ((_, _, da, _) as a) ((_, _, db, _) as b) =
-    if da <= db then a else b
+  let stream_pairs = 21 in
+  let pairs =
+    List.init stream_pairs (fun i ->
+        if i mod 2 = 0 then
+          let unsub = stream_sweep `None in
+          (unsub, stream_sweep `Draining)
+        else
+          let sub = stream_sweep `Draining in
+          (stream_sweep `None, sub))
   in
-  let unsub_r, unsub_shed, dt_unsub, _ =
-    min_by_dt (stream_sweep `None) (stream_sweep `None)
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  let dt_of (_, _, dt, _) = dt in
+  let dt_unsub = median (List.map (fun (u, _) -> dt_of u) pairs) in
+  let dt_sub = median (List.map (fun (_, s) -> dt_of s) pairs) in
+  let overhead_ratio =
+    median (List.map (fun (u, s) -> dt_of s /. dt_of u) pairs)
   in
-  let sub_r, sub_shed, dt_sub, (subscriber_events, subscriber_jni) =
-    min_by_dt (stream_sweep `Draining) (stream_sweep `Draining)
-  in
+  let _, _, _, (subscriber_events, subscriber_jni) = snd (List.hd pairs) in
   let slow_r, slow_shed, dt_slow, _ = stream_sweep ~stream_buf:256 `Wedged in
   let lost_of reports =
     Array.fold_left (fun n r -> if r = None then n + 1 else n) 0 reports
   in
+  let stream_runs = List.concat_map (fun (u, s) -> [ u; s ]) pairs in
   let stream_identical =
-    String.equal (json_of inline_stream) (serve_json unsub_r)
-    && String.equal (json_of inline_stream) (serve_json sub_r)
+    List.for_all
+      (fun (r, _, _, _) -> String.equal (json_of inline_stream) (serve_json r))
+      stream_runs
   in
   let slow_identical =
     String.equal (json_of inline_stream) (serve_json slow_r)
   in
-  let stream_lost = lost_of unsub_r + lost_of sub_r + (unsub_shed + sub_shed) in
+  let stream_lost =
+    List.fold_left
+      (fun n (r, shed, _, _) -> n + lost_of r + shed)
+      0 stream_runs
+  in
   let slow_lost = lost_of slow_r + slow_shed in
-  let overhead_ratio = dt_sub /. dt_unsub in
   Printf.printf
-    "stream (both mode, live subscriber): unsubscribed %.2fs -> subscribed \
-     %.2fs (%.3fx), %d events drained (%d jni crossings), verdicts \
-     bit-identical: %b\n%!"
-    dt_unsub dt_sub overhead_ratio subscriber_events subscriber_jni
-    stream_identical;
+    "stream (both mode, live subscriber, median of %d pairs): unsubscribed \
+     %.2fs -> subscribed %.2fs (%.3fx), %d events drained (%d jni \
+     crossings), verdicts bit-identical: %b\n%!"
+    stream_pairs dt_unsub dt_sub overhead_ratio subscriber_events
+    subscriber_jni stream_identical;
   Printf.printf
     "stream (wedged subscriber, 256-byte bound): %.2fs, every verdict \
      answered: %b, bit-identical: %b\n%!"
@@ -1413,6 +1431,7 @@ let pipeline () =
          Rj.Obj
            [ ("mode", Rj.Str "both");
              ("requests", Rj.Int (List.length stream_tasks));
+             ("pairs", Rj.Int stream_pairs);
              ("unsubscribed_seconds", Rj.Float dt_unsub);
              ("subscribed_seconds", Rj.Float dt_sub);
              ("overhead_ratio", Rj.Float overhead_ratio);
@@ -1707,65 +1726,6 @@ let dk_measure_jni ?(summaries = false) invoke =
   let dt = time_median (fun () -> ignore (invoke vm m [| arg |])) in
   (crossings, per_run, dt, device)
 
-(* A loopy native body: the JNI bridge cost is amortized away, so what is
-   measured is the native execution loop itself — per-instruction traced
-   versus superblock-translated with fused taint transfers.  The body has
-   control flow, so the summary path must reject it (no silent wrong
-   answers from summaries on loops). *)
-
-let dk_sb_cls = "Lcom/bench/SbLoop;"
-let dk_sb_iterations = 1_500
-
-let dk_sb_app : H.app =
-  { H.app_name = "superblock-bench";
-    app_case = "bench";
-    description = "loopy native body under superblock translation";
-    classes =
-      [ J.class_ ~name:dk_sb_cls
-          [ J.native_method ~cls:dk_sb_cls ~name:"nloop" ~shorty:"II" "nloop";
-            J.method_ ~cls:dk_sb_cls ~name:"cross" ~shorty:"II" ~registers:6
-              [ J.L "loop";
-                J.Ifz_l (B.Le, 5, "done");
-                J.I
-                  (B.Invoke
-                     (B.Static, { B.m_class = dk_sb_cls; m_name = "nloop" },
-                      [ 5 ]));
-                J.I (B.Move_result 0);
-                J.I (B.Binop_lit (B.Sub, 5, 5, 1l));
-                J.Goto_l "loop";
-                J.L "done";
-                J.I (B.Return 5) ] ] ];
-    build_libs =
-      (fun extern ->
-        let open Asm in
-        let items =
-          [ Label "nloop";
-            I (Insn.mov 0 (Insn.Reg 2));
-            I (Insn.mov 2 (Insn.Imm 32));
-            Label "nl_body";
-            I (Insn.add 0 0 (Insn.Imm 3));
-            I (Insn.eor 3 0 (Insn.Reg 2));
-            I (Insn.add 0 0 (Insn.Reg 3));
-            I (Insn.subs 2 2 (Insn.Imm 1));
-            Br (Insn.NE, "nl_body");
-            I Insn.bx_lr ]
-        in
-        [ ("sbloop", assemble ~extern ~base:Layout.app_lib_base items) ]);
-    entry = (dk_sb_cls, "cross");
-    expected_sink = "" }
-
-(* (median seconds, final NDroid stats) *)
-let dk_measure_sb ~superblocks =
-  let device = H.boot dk_sb_app in
-  let nd = Ndroid.attach ~use_superblocks:superblocks device in
-  (* isolate the native loop from the simulated bridge charge (as A3) *)
-  Machine.set_host_fn_work (Device.machine device) 0;
-  let vm = Device.vm device in
-  let m = Vm.find_method vm dk_sb_cls "cross" in
-  let arg = (Dvalue.Int (Int32.of_int dk_sb_iterations), Taint.clear) in
-  let dt = time_median (fun () -> ignore (Interp.invoke vm m [| arg |])) in
-  (dt, Ndroid.stats nd)
-
 let dalvik () =
   section "DALVIK: resolve-once fast path vs seed interpreter";
   let row name (bytecodes, dt, rate) =
@@ -1829,16 +1789,6 @@ let dalvik () =
   Printf.printf "summaries applied: %d, rejected: %d\n" sum_applied sum_rejected;
   Printf.printf "jni-crossing speedup (summary vs emulated body): %.2fx\n%!"
     jni_speedup;
-  (* superblock translation on a loopy native body, against the same
-     configuration tracing per instruction *)
-  let sb_off_dt, _ = dk_measure_sb ~superblocks:false in
-  let sb_on_dt, sb_stats = dk_measure_sb ~superblocks:true in
-  let sb_speedup = sb_off_dt /. sb_on_dt in
-  Printf.printf
-    "superblock loopy body: per-insn %.4fs vs superblock %.4fs (%.2fx; %d \
-     compiled, %d hits, %d invalidated)\n%!"
-    sb_off_dt sb_on_dt sb_speedup sb_stats.Ndroid.sb_compiles
-    sb_stats.Ndroid.sb_hits sb_stats.Ndroid.sb_invalidations;
   let row_json (bytecodes, dt, rate) =
     Rj.Obj
       [ ("bytecodes", Rj.Int bytecodes); ("seconds", Rj.Float dt);
@@ -1878,18 +1828,6 @@ let dalvik () =
                   ("summaries_rejected", Rj.Int sum_rejected) ]);
              ("seed_speedup", Rj.Float seed_jni_speedup);
              ("speedup", Rj.Float jni_speedup) ]);
-        ("superblock",
-         Rj.Obj
-           [ ("iterations", Rj.Int dk_sb_iterations);
-             ("per_insn_seconds", Rj.Float sb_off_dt);
-             ("superblock_seconds", Rj.Float sb_on_dt);
-             ("speedup", Rj.Float sb_speedup);
-             ("counters",
-              Rj.Obj
-                [ ("sb_compiles", Rj.Int sb_stats.Ndroid.sb_compiles);
-                  ("sb_hits", Rj.Int sb_stats.Ndroid.sb_hits);
-                  ("sb_invalidations", Rj.Int sb_stats.Ndroid.sb_invalidations)
-                ]) ]);
         ("obs_overhead",
          Rj.Obj
            [ ("baseline_taint_on", row_json fast_on);
@@ -1916,8 +1854,6 @@ let dalvik () =
   if jni_speedup < 3.0 then
     fail
       (Printf.sprintf "jni-crossing summary speedup %.2fx < 3.0x" jni_speedup);
-  if sb_stats.Ndroid.sb_compiles = 0 || sb_stats.Ndroid.sb_hits = 0 then
-    fail "superblock path compiled or reused no blocks on the loopy body";
   (* events compiled into the loop must be ~free while tracing is off *)
   if not (identical fast_on obs_on) then
     fail "attaching the obs ring changed the executed bytecode count";

@@ -55,7 +55,7 @@ let boot app =
 
 let contains_substring = Flow_log.contains
 
-let run ?obs ?(superblocks = false) ?(summaries = false) ?focus mode app =
+let run ?obs ?(summaries = false) ?focus mode app =
   let device = boot app in
   let ndroid =
     match mode with
@@ -70,8 +70,7 @@ let run ?obs ?(superblocks = false) ?(summaries = false) ?focus mode app =
       None
     | Ndroid_full ->
       Some
-        (Ndroid.attach ~use_superblocks:superblocks ~use_summaries:summaries
-           ?obs ?focus device)
+        (Ndroid.attach ~use_summaries:summaries ?obs ?focus device)
   in
   let cls, entry = app.entry in
   (try ignore (Device.run device cls entry [||])

@@ -44,7 +44,6 @@ val boot : app -> Device.t
 
 val run :
   ?obs:Ndroid_obs.Ring.t ->
-  ?superblocks:bool ->
   ?summaries:bool ->
   ?focus:Ndroid_report.Focus.t ->
   mode ->
@@ -53,8 +52,8 @@ val run :
 (** Boot, attach the mode's analysis, invoke the entry point (catching any
     escaping Java exception), collect results.  [obs] (Ndroid mode only)
     supplies the observability hub the analysis records into;
-    [superblocks] and [summaries] (default [false], Ndroid mode only)
-    enable superblock native execution and the summary JNI fast path;
+    [summaries] (default [false], Ndroid mode only) enables the summary
+    JNI fast path;
     [focus] (Ndroid mode only) gates instrumentation to the static slice's
     focus set — the hybrid pipeline's focused dynamic run. *)
 

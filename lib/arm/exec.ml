@@ -297,10 +297,10 @@ let decode_at cpu mem addr =
 let fetch_decode ?icache cpu mem addr =
   match icache with
   | Some c ->
-    if Icache.probe c addr then Icache.cached c addr
+    if Icache.probe c addr cpu.Cpu.mode then Icache.cached c addr
     else begin
       let entry = decode_at cpu mem addr in
-      Icache.store c addr entry;
+      Icache.store c addr cpu.Cpu.mode entry;
       entry
     end
   | None -> decode_at cpu mem addr

@@ -6,15 +6,15 @@ type t = {
   pages : (int, Bytes.t) Hashtbl.t;
   mutable last_key : int;  (* last-touched page cache; [no_key] = invalid *)
   mutable last_page : Bytes.t;
-  (* code write-watch: translated/summarized code ranges.  [w_lo]/[w_hi]
-     bound every watched byte so the store fast path pays two compares;
-     a hit inside an actual range bumps [w_gen] (superblock validity) and
-     notifies [w_notify] (per-library dirty marking for summaries). *)
+  (* code write-watch: loaded code ranges.  [w_lo]/[w_hi] bound every
+     watched byte so the store fast path pays two compares; a hit inside
+     an actual range tells the [w_notify] observers (decode-cache
+     invalidation, per-library dirty marking for summaries) what was
+     written. *)
   mutable w_lo : int;
   mutable w_hi : int;
   mutable w_ranges : (int * int) list;
-  mutable w_gen : int;
-  mutable w_notify : int -> unit;
+  mutable w_notify : (int -> int -> unit) list;
 }
 
 let no_key = min_int
@@ -26,8 +26,7 @@ let create () =
     w_lo = max_int;
     w_hi = min_int;
     w_ranges = [];
-    w_gen = 0;
-    w_notify = ignore }
+    w_notify = [] }
 
 let watch_code m ~lo ~hi =
   if hi >= lo then begin
@@ -36,22 +35,26 @@ let watch_code m ~lo ~hi =
     if hi > m.w_hi then m.w_hi <- hi
   end
 
-let code_gen m = m.w_gen
-let on_code_write m f = m.w_notify <- f
+let on_code_write m f = m.w_notify <- m.w_notify @ [ f ]
+
+let rec notify fs addr len =
+  match fs with
+  | [] -> ()
+  | f :: rest ->
+    f addr len;
+    notify rest addr len
 
 (* Slow path of the watch check: only reached for writes inside the global
    watched bounds, i.e. essentially only for writes into loaded library
    images (self-modifying / decrypting code, or stores into a library's
    embedded data words). *)
+let rec overlaps ranges addr len =
+  match ranges with
+  | [] -> false
+  | (lo, hi) :: rest -> (addr <= hi && addr + len - 1 >= lo) || overlaps rest addr len
+
 let watch_hit m addr len =
-  if
-    List.exists
-      (fun (lo, hi) -> addr <= hi && addr + len - 1 >= lo)
-      m.w_ranges
-  then begin
-    m.w_gen <- m.w_gen + 1;
-    m.w_notify addr
-  end
+  if overlaps m.w_ranges addr len then notify m.w_notify addr len
 
 let[@inline] watch m addr len =
   if addr <= m.w_hi && addr + len - 1 >= m.w_lo then watch_hit m addr len

@@ -38,19 +38,15 @@ val pages_touched : t -> int
 (** Number of pages allocated so far (memory-map accounting). *)
 
 val watch_code : t -> lo:int -> hi:int -> unit
-(** Register [lo, hi] (inclusive) as translated/summarized code: any later
-    guest write that overlaps a watched range bumps {!code_gen} and fires
-    the {!on_code_write} callback.  The check costs two integer compares on
+(** Register [lo, hi] (inclusive) as loaded code: any later write, by
+    guest or host, that overlaps a watched range is reported to the
+    {!on_code_write} observers.  The check costs two integer compares on
     the store fast path while no watch is registered. *)
 
-val code_gen : t -> int
-(** Generation counter bumped on every write into a watched code range.
-    Cached translations record the generation they were made under and
-    treat any later value as "my code may be stale". *)
-
-val on_code_write : t -> (int -> unit) -> unit
-(** Set the (single) code-write observer, called with the write's start
-    address after {!code_gen} is bumped — the summary layer uses it to mark
-    the owning library dirty. *)
+val on_code_write : t -> (int -> int -> unit) -> unit
+(** Add a code-write observer, called as [f addr len] with the write's
+    start address and length.  Observers run in the order they were added;
+    the machine's decode cache drops the instructions the write overlaps,
+    and the summary layer marks the owning library dirty. *)
 
 val clear : t -> unit

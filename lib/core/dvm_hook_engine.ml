@@ -125,13 +125,6 @@ let on_jni_enter t =
             ~taint:(Taint.to_bits tag))
       jc.Device.jc_args;
     if Source_policy.any_tainted p then begin
-      (* a policy at a *new* address changes where blocks must end, so any
-         cached superblock translation may now run through a policy entry *)
-      if not (Source_policy.Table.mem t.table p.Source_policy.method_address)
-      then (
-        match Machine.superblocks (Device.machine t.device) with
-        | Some sb -> Ndroid_emulator.Superblock.flush sb
-        | None -> ());
       Source_policy.Table.add t.table p;
       let arg_taint =
         Array.fold_left

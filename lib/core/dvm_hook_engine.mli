@@ -41,8 +41,8 @@ val on_jni_enter : t -> unit
 
 val on_insn : t -> addr:int -> unit
 (** Apply the source policy registered at [addr], if any.  This is the
-    per-instruction hook on the tracing path and the block-entry hook on
-    the superblock path. *)
+    per-instruction hook on the tracing path and the entry hook on the
+    summary path. *)
 
 val policies_applied : t -> int
 (** How many times a SourcePolicy initialised a native frame. *)

@@ -2,7 +2,6 @@ module Taint = Ndroid_taint.Taint
 module Device = Ndroid_runtime.Device
 module Machine = Ndroid_emulator.Machine
 module Tracer = Ndroid_emulator.Tracer
-module Superblock = Ndroid_emulator.Superblock
 module Taint_engine = Ndroid_emulator.Taint_engine
 module Insn_taint = Ndroid_emulator.Insn_taint
 module Summary = Ndroid_summary.Summary
@@ -50,8 +49,13 @@ type stats = {
   skipped_bytecodes : int;
 }
 
+(* [use_superblocks] and the [sb_*] stats stay only for the benchmark
+   harness, which builds against them: superblock translation is gone,
+   so [true] is refused and the counters are always 0. *)
 let attach ?(use_multilevel = true) ?(use_superblocks = false)
     ?(use_summaries = false) ?trace_filter ?obs ?focus device =
+  if use_superblocks then
+    invalid_arg "Ndroid.attach: superblock translation was removed";
   let td = Taintdroid.attach device in
   let engine = Taint_engine.create () in
   let vm = Device.vm device in
@@ -148,21 +152,6 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
     if gate () then Insn_taint.step engine cpu ~addr insn
   in
   let tracer = Tracer.attach ?filter:trace_filter ~handler machine in
-  (* Superblock execution replaces the per-instruction trace loop: taint
-     propagation moves into the blocks' fused/per-slot micro-ops, and the
-     source-policy hook moves from every instruction to every block entry
-     (policy addresses always start a block, and a policy at a new address
-     flushes the block cache). *)
-  if use_superblocks then begin
-    let table = Dvm_hook_engine.policies dvm_hooks in
-    ignore
-      (Machine.enable_superblocks ~engine
-         ~on_block_entry:(fun addr ->
-           if gate () then Dvm_hook_engine.on_insn dvm_hooks ~addr)
-         ~is_boundary:(fun addr -> Source_policy.Table.mem table addr)
-         ~ring:(Flow_log.ring log) machine
-        : Superblock.t)
-  end;
   (* The summary fast path skips the dvmCallJNIMethod bridge, so the JNI-
      entry hook and the entry policy application run from here instead;
      the fused masks then land the body's whole taint effect at once. *)
@@ -223,8 +212,6 @@ let engine t = t.t_engine
 let log t = t.t_log
 
 let stats t =
-  let sb = Machine.superblocks (Device.machine t.t_device) in
-  let sb_stat f = match sb with Some s -> f s | None -> 0 in
   { source_policies = Source_policy.Table.size (Dvm_hook_engine.policies t.dvm_hooks);
     policies_applied = Dvm_hook_engine.policies_applied t.dvm_hooks;
     traced_instructions = Tracer.traced t.tracer;
@@ -233,9 +220,9 @@ let stats t =
     sink_checks = Syslib_hook_engine.sink_checks t.syslib;
     multilevel_checks = Dvm_hook_engine.multilevel_checks t.dvm_hooks;
     tainted_bytes = Taint_engine.tainted_bytes t.t_engine;
-    sb_compiles = sb_stat Superblock.compiles;
-    sb_hits = sb_stat Superblock.hits;
-    sb_invalidations = sb_stat Superblock.invalidations;
+    sb_compiles = 0;
+    sb_hits = 0;
+    sb_invalidations = 0;
     native_summaries_applied = Device.summaries_applied t.t_device;
     native_summaries_rejected = Device.summaries_rejected t.t_device;
     focused_methods =
@@ -277,11 +264,10 @@ let verdict t =
 let pp_stats ppf s =
   Format.fprintf ppf
     "source policies: %d (applied %d); traced insns: %d (skipped %d); summaries: \
-     %d; sink checks: %d; multilevel checks: %d; tainted bytes: %d; superblocks: \
-     %d compiled (%d hits, %d invalidated); native summaries: %d applied (%d \
-     rejected); focused methods: %d; skipped bytecodes: %d"
+     %d; sink checks: %d; multilevel checks: %d; tainted bytes: %d; native \
+     summaries: %d applied (%d rejected); focused methods: %d; skipped \
+     bytecodes: %d"
     s.source_policies s.policies_applied s.traced_instructions
     s.skipped_instructions s.summaries_applied s.sink_checks s.multilevel_checks
-    s.tainted_bytes s.sb_compiles s.sb_hits s.sb_invalidations
-    s.native_summaries_applied s.native_summaries_rejected s.focused_methods
-    s.skipped_bytecodes
+    s.tainted_bytes s.native_summaries_applied s.native_summaries_rejected
+    s.focused_methods s.skipped_bytecodes

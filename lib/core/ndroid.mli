@@ -25,9 +25,11 @@ type stats = {
   sink_checks : int;
   multilevel_checks : int;
   tainted_bytes : int;  (** bytes currently tainted in the native map *)
-  sb_compiles : int;  (** superblocks translated *)
-  sb_hits : int;  (** superblock cache hits (probe or chain) *)
-  sb_invalidations : int;  (** stale superblocks retranslated *)
+  sb_compiles : int;
+  sb_hits : int;
+  sb_invalidations : int;
+      (** always 0: kept for the benchmark harness, which builds against
+          them; superblock translation was removed *)
   native_summaries_applied : int;
       (** JNI calls answered from a native taint summary *)
   native_summaries_rejected : int;
@@ -49,10 +51,9 @@ val attach :
   Ndroid_runtime.Device.t ->
   t
 (** Instrument a device.  [use_multilevel:false] is ablation A2;
-    [use_superblocks] (default [false]) switches native execution to
-    pre-decoded superblocks with fused taint transfers — per-instruction
-    trace events stop firing, so leave it off when per-insn tracing
-    matters; [use_summaries] (default [false]) lets the JNI bridge apply
+    [use_superblocks] is kept for the benchmark harness, which builds
+    against it: superblock translation was removed, and [true] raises
+    [Invalid_argument]; [use_summaries] (default [false]) lets the JNI bridge apply
     digest-cached native taint summaries instead of emulating exact
     function bodies; [trace_filter] overrides which addresses the
     instruction tracer covers (default: the third-party app library region

@@ -50,37 +50,35 @@ type t = {
   scratch : Exec.run;  (* reused per-step result; never escapes [step] *)
   ev_insn : event;  (* preallocated Ev_insn cell, fields rewritten per step *)
   ev_branch : event;  (* preallocated Ev_branch cell, likewise *)
-  (* superblock execution (off by default): pre-decoded straight-line
-     blocks with fused taint transfers replace the per-insn fetch/decode/
-     event loop for eligible PCs *)
-  mutable sb : Superblock.t option;
-  mutable sb_engine : Taint_engine.t option;
-  mutable sb_entry : int -> unit;  (* block-entry hook (policy application) *)
 }
 
 let create () =
   let cpu = Cpu.create () in
   Cpu.set_sp cpu Layout.stack_top;
-  { m_cpu = cpu;
-    m_mem = Memory.create ();
-    host_by_addr = Hashtbl.create 256;
-    host_by_name = Hashtbl.create 256;
-    host_lo = max_int;
-    host_hi = min_int;
-    listeners = [||];
-    icache = Some (Icache.create ());
-    insn_count = 0;
-    host_calls = 0;
-    libs = Layout.regions;
-    fuel = -1;
-    budget = Budget.current ();
-    host_work = 2500;
-    scratch = Exec.run_create ();
-    ev_insn = Ev_insn { addr = 0; insn = Insn.bx_lr };
-    ev_branch = Ev_branch { from_ = 0; to_ = 0; is_call = false };
-    sb = None;
-    sb_engine = None;
-    sb_entry = ignore }
+  let t =
+    { m_cpu = cpu;
+      m_mem = Memory.create ();
+      host_by_addr = Hashtbl.create 256;
+      host_by_name = Hashtbl.create 256;
+      host_lo = max_int;
+      host_hi = min_int;
+      listeners = [||];
+      icache = Some (Icache.create ());
+      insn_count = 0;
+      host_calls = 0;
+      libs = Layout.regions;
+      fuel = -1;
+      budget = Budget.current ();
+      host_work = 2500;
+      scratch = Exec.run_create ();
+      ev_insn = Ev_insn { addr = 0; insn = Insn.bx_lr };
+      ev_branch = Ev_branch { from_ = 0; to_ = 0; is_call = false } }
+  in
+  (* a write into loaded code (self-modifying or decrypting code) drops
+     the decodes it overlaps *)
+  Memory.on_code_write t.m_mem (fun addr len ->
+      match t.icache with Some c -> Icache.invalidate c addr len | None -> ());
+  t
 
 let cpu t = t.m_cpu
 let mem t = t.m_mem
@@ -174,8 +172,8 @@ let call_host t ~from_ name =
 
 let load_program t prog =
   Asm.load prog t.m_mem;
-  (* watch the image so later guest writes into it (self-modifying or
-     decrypting code) invalidate superblocks and native summaries *)
+  (* watch the image so later writes into it (self-modifying or
+     decrypting code) invalidate stale decodes and native summaries *)
   Memory.watch_code t.m_mem ~lo:(Asm.base prog)
     ~hi:(Asm.base prog + Asm.size prog - 1);
   t.libs <- t.libs @ [ (Printf.sprintf "lib@%x" (Asm.base prog), Asm.base prog,
@@ -223,86 +221,6 @@ let step_insn t pc =
   end
   else Exec.step_into t.scratch t.m_cpu t.m_mem ~addr:pc insn size
 
-(* Execute one superblock's slots.  Returns [true] if the block ran to its
-   end, [false] if it aborted because a store slot invalidated translated
-   code (the remaining pre-decoded slots may describe stale bytes). *)
-let exec_block t sb b =
-  let slots = b.Superblock.b_slots in
-  let n = Array.length slots in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let sl = Array.unsafe_get slots !i in
-    burn t;
-    t.insn_count <- t.insn_count + 1;
-    (match sl.Superblock.sl_taint with
-     | Superblock.T_none -> ()
-     | Superblock.T_fused pairs -> (
-       match t.sb_engine with
-       | Some e -> Superblock.apply_fused sb e pairs
-       | None -> ())
-     | Superblock.T_step -> (
-       match t.sb_engine with
-       | Some e ->
-         Insn_taint.step e t.m_cpu ~addr:sl.Superblock.sl_addr
-           sl.Superblock.sl_insn
-       | None -> ()));
-    let s = t.scratch in
-    Exec.step_into s t.m_cpu t.m_mem ~addr:sl.Superblock.sl_addr
-      sl.Superblock.sl_insn sl.Superblock.sl_size;
-    if has_listeners t then begin
-      let branch_to = s.Exec.r_branch_to in
-      let is_call = s.Exec.r_is_call in
-      let svc = s.Exec.r_svc in
-      if branch_to >= 0 then
-        emit_branch t ~from_:sl.Superblock.sl_addr ~to_:branch_to ~is_call;
-      if svc >= 0 then emit t (Ev_svc svc)
-    end;
-    if
-      sl.Superblock.sl_store
-      && Memory.code_gen t.m_mem <> b.Superblock.b_gen
-    then ok := false;
-    incr i
-  done;
-  Superblock.note_insns sb !i;
-  !ok
-
-(* Block-execution loop: probe (or chain to) a block at the current PC and
-   run it, staying inside this loop across block boundaries so hot guest
-   loops never return to the dispatcher.  Falls out on the return sentinel,
-   host-function addresses, filter-rejected PCs, untranslatable PCs, and
-   mid-block self-modification. *)
-let exec_blocks t sb pc0 =
-  let continue_ = ref true in
-  let pc = ref pc0 in
-  let prev = ref None in
-  while !continue_ do
-    let p = !pc in
-    if
-      p = Layout.return_sentinel
-      || (p >= t.host_lo && p <= t.host_hi && Hashtbl.mem t.host_by_addr p)
-      || not (Superblock.wants sb p)
-    then continue_ := false
-    else begin
-      match
-        match !prev with
-        | Some b -> Superblock.chain_to sb b t.m_cpu t.m_mem p
-        | None -> Superblock.probe sb t.m_cpu t.m_mem p
-      with
-      | None ->
-        (* untranslatable here: single-step to surface the real behaviour *)
-        step_insn t p;
-        continue_ := false
-      | Some b ->
-        t.sb_entry p;
-        if exec_block t sb b then begin
-          prev := Some b;
-          pc := Cpu.pc t.m_cpu
-        end
-        else continue_ := false
-    end
-  done
-
 let step t =
   let pc = Cpu.pc t.m_cpu in
   match
@@ -331,10 +249,7 @@ let step t =
       Cpu.set_pc t.m_cpu (ret land mask32)
     end;
     emit_branch t ~from_:hf.hf_addr ~to_:(ret land lnot 1) ~is_call:false
-  | None -> (
-    match t.sb with
-    | Some sb when Superblock.wants sb pc -> exec_blocks t sb pc
-    | _ -> step_insn t pc)
+  | None -> step_insn t pc
 
 let call_native t ?(fuel = 50_000_000) ~addr ~args ?(stack_args = []) () =
   let cpu = t.m_cpu in
@@ -380,19 +295,3 @@ let call_native t ?(fuel = 50_000_000) ~addr ~args ?(stack_args = []) () =
 let insn_count t = t.insn_count
 let host_calls t = t.host_calls
 let libs t = t.libs
-
-let enable_superblocks ?engine ?(on_block_entry = fun (_ : int) -> ())
-    ?is_boundary ?filter ?ring t =
-  let sb = Superblock.create ?filter ?is_boundary () in
-  (match ring with Some r -> Superblock.set_ring sb r | None -> ());
-  t.sb <- Some sb;
-  t.sb_engine <- engine;
-  t.sb_entry <- on_block_entry;
-  sb
-
-let disable_superblocks t =
-  t.sb <- None;
-  t.sb_engine <- None;
-  t.sb_entry <- ignore
-
-let superblocks t = t.sb

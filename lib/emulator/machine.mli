@@ -95,8 +95,9 @@ val call_host : t -> from_:int -> string -> unit
     as they would on hardware.  @raise Not_found for unmounted names. *)
 
 val load_program : t -> Ndroid_arm.Asm.program -> unit
-(** Copy an assembled library into guest memory and remember it in the
-    memory map. *)
+(** Copy an assembled library into guest memory, remember it in the
+    memory map, and watch it for code writes: a later write into the image
+    drops the decodes it overlaps from the decode cache. *)
 
 val call_native : t -> ?fuel:int -> addr:int -> args:int list ->
   ?stack_args:int list -> unit -> int * int
@@ -109,28 +110,6 @@ val call_native : t -> ?fuel:int -> addr:int -> args:int list ->
     @raise Runaway when the fuel runs out.
     @raise Ndroid_budget.Budget.Exhausted when the work budget runs out.
     @raise Ndroid_budget.Budget.Cancelled when its cancel flag is set. *)
-
-val enable_superblocks :
-  ?engine:Taint_engine.t ->
-  ?on_block_entry:(int -> unit) ->
-  ?is_boundary:(int -> bool) ->
-  ?filter:(int -> bool) ->
-  ?ring:Ndroid_obs.Ring.t ->
-  t ->
-  Superblock.t
-(** Switch guest execution (for PCs accepted by [filter]) from the per-
-    instruction fetch/decode/event loop to superblock execution: straight-
-    line regions pre-decoded once, with Table V taint transfers fused at
-    translate time and applied against [engine].  [on_block_entry] runs at
-    every block entry (source-policy application); [is_boundary] addresses
-    always start a block.  Note that block execution emits {e no} [Ev_insn]
-    events — taint propagation happens through the fused ops instead — so it
-    must not be combined with analyses that depend on per-instruction
-    events (the attach layer keeps per-insn tracing and superblocks
-    mutually exclusive). *)
-
-val disable_superblocks : t -> unit
-val superblocks : t -> Superblock.t option
 
 val insn_count : t -> int
 (** Guest instructions executed so far. *)

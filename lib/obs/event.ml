@@ -23,7 +23,6 @@ type kind =
   | K_insn
   | K_host_enter
   | K_host_leave
-  | K_sb_compile
   | K_summary_apply
 
 type record = {
@@ -64,14 +63,13 @@ let kind_name = function
   | K_insn -> "insn"
   | K_host_enter -> "host_enter"
   | K_host_leave -> "host_leave"
-  | K_sb_compile -> "sb_compile"
   | K_summary_apply -> "summary_apply"
 
 let all_kinds =
   [ K_log; K_invoke; K_return; K_jni_begin; K_jni_end; K_jni_ret; K_source;
     K_policy_apply; K_arg_taint; K_taint_reg; K_taint_mem; K_sink_begin;
     K_sink; K_sink_end; K_gc_begin; K_gc_end; K_phase_begin; K_phase_end;
-    K_insn; K_host_enter; K_host_leave; K_sb_compile; K_summary_apply ]
+    K_insn; K_host_enter; K_host_leave; K_summary_apply ]
 
 let kind_of_name =
   let tbl = Hashtbl.create 31 in
@@ -87,7 +85,7 @@ let span_of_kind = function
   | K_return | K_jni_end | K_sink_end | K_gc_end | K_phase_end | K_host_leave ->
     E
   | K_log | K_jni_ret | K_source | K_policy_apply | K_arg_taint | K_taint_reg
-  | K_taint_mem | K_sink | K_insn | K_sb_compile | K_summary_apply ->
+  | K_taint_mem | K_sink | K_insn | K_summary_apply ->
     I
 
 (* Trace-viewer lanes: spans on one lane must nest, so each call-stack-like
@@ -96,7 +94,7 @@ let tid_of_kind = function
   | K_invoke | K_return -> 1
   | K_jni_begin | K_jni_end | K_jni_ret | K_source | K_policy_apply
   | K_arg_taint | K_taint_reg | K_taint_mem | K_sink_begin | K_sink | K_sink_end
-  | K_insn | K_host_enter | K_host_leave | K_sb_compile | K_summary_apply ->
+  | K_insn | K_host_enter | K_host_leave | K_summary_apply ->
     2
   | K_gc_begin | K_gc_end -> 3
   | K_log -> 4
@@ -111,7 +109,7 @@ let category = function
   | K_sink_begin | K_sink | K_sink_end -> "sink"
   | K_gc_begin | K_gc_end -> "gc"
   | K_phase_begin | K_phase_end -> "pipeline"
-  | K_insn | K_host_enter | K_host_leave | K_sb_compile | K_summary_apply ->
+  | K_insn | K_host_enter | K_host_leave | K_summary_apply ->
     "native"
 
 (* The string each typed event used to be logged as, before the engines
@@ -146,7 +144,7 @@ let render_fields ~kind ~name ~detail ~addr ~taint =
   | K_sink_end -> Some (Printf.sprintf "SinkHandler[%s] end" name)
   | K_invoke | K_return | K_jni_begin | K_jni_end | K_gc_begin | K_gc_end
   | K_phase_begin | K_phase_end | K_insn | K_host_enter | K_host_leave
-  | K_sb_compile | K_summary_apply ->
+  | K_summary_apply ->
     None
 
 let render r =
@@ -159,5 +157,5 @@ let renderable = function
     true
   | K_invoke | K_return | K_jni_begin | K_jni_end | K_gc_begin | K_gc_end
   | K_phase_begin | K_phase_end | K_insn | K_host_enter | K_host_leave
-  | K_sb_compile | K_summary_apply ->
+  | K_summary_apply ->
     false

@@ -30,7 +30,6 @@ type kind =
   | K_insn  (** executed native instruction ([e_addr], [e_insn]) *)
   | K_host_enter  (** host-function boundary ([e_name]) *)
   | K_host_leave
-  | K_sb_compile  (** superblock translated ([e_addr], [e_taint] = insns) *)
   | K_summary_apply  (** native summary applied instead of emulating *)
 
 type record = {

@@ -191,9 +191,6 @@ let emit_host_enter t name =
 let emit_host_leave t name =
   if t.on then point t E.K_host_leave ~name ~detail:"" ~addr:0 ~taint:0
 
-let emit_sb_compile t ~addr ~insns =
-  if t.on then point t E.K_sb_compile ~name:"" ~detail:"" ~addr ~taint:insns
-
 let emit_summary_apply t ~name ~taint =
   if t.on then point t E.K_summary_apply ~name ~detail:"" ~addr:0 ~taint
 

@@ -75,9 +75,6 @@ val emit_insn : t -> addr:int -> Ndroid_arm.Insn.t -> unit
 val emit_host_enter : t -> string -> unit
 val emit_host_leave : t -> string -> unit
 
-val emit_sb_compile : t -> addr:int -> insns:int -> unit
-(** A superblock was translated at [addr] covering [insns] instructions. *)
-
 val emit_summary_apply : t -> name:string -> taint:int -> unit
 (** A cached native taint summary was applied in place of emulating the
     function body ([name] = native method, [taint] = resulting return

@@ -15,7 +15,6 @@ let version = "4"
 (* The dynamic path's feature switches.  They are part of every cache
    key (see {!digest}): flipping one invalidates exactly the results it
    could change, without touching [version]. *)
-let use_superblocks = false
 let use_summaries = true
 
 (* The work budget of one analysis, in units of Dalvik bytecodes plus
@@ -30,8 +29,8 @@ let use_summaries = true
 let work_budget = 2_000_000
 
 let feature_key =
-  Printf.sprintf "superblocks=%b;summaries=%b;focus=slice;budget=%d"
-    use_superblocks use_summaries work_budget
+  Printf.sprintf "summaries=%b;focus=slice;budget=%d" use_summaries
+    work_budget
 
 let enable_summary_cache cache =
   (* Native taint summaries persist as raw entries beside the verdict
@@ -57,8 +56,7 @@ let static_market model = St.Report.to_report (static_market_v model)
 
 let dynamic_bundled ?obs ?focus (app : H.app) =
   let outcome =
-    H.run ?obs ~superblocks:use_superblocks ~summaries:use_summaries ?focus
-      H.Ndroid_full app
+    H.run ?obs ~summaries:use_summaries ?focus H.Ndroid_full app
   in
   (* deterministic execution counters: same app, same counts, whatever the
      --jobs value — safe to put in the canonical report *)
@@ -68,17 +66,12 @@ let dynamic_bundled ?obs ?focus (app : H.app) =
     | Some nd -> Some (Ndroid_core.Ndroid.stats nd)
     | None -> None
   in
-  let sb_stat f = match nd_stats with Some s -> f s | None -> 0 in
-  let sb_compiles = sb_stat (fun s -> s.Ndroid_core.Ndroid.sb_compiles) in
-  let sb_hits = sb_stat (fun s -> s.Ndroid_core.Ndroid.sb_hits) in
-  let sb_invalidations =
-    sb_stat (fun s -> s.Ndroid_core.Ndroid.sb_invalidations)
-  in
+  let stat f = match nd_stats with Some s -> f s | None -> 0 in
   let summaries_applied =
-    sb_stat (fun s -> s.Ndroid_core.Ndroid.native_summaries_applied)
+    stat (fun s -> s.Ndroid_core.Ndroid.native_summaries_applied)
   in
   let summaries_rejected =
-    sb_stat (fun s -> s.Ndroid_core.Ndroid.native_summaries_rejected)
+    stat (fun s -> s.Ndroid_core.Ndroid.native_summaries_rejected)
   in
   (* the same counters feed the observability registry, so one sweep-wide
      merge covers both the legacy stats fields and the metrics JSON *)
@@ -89,28 +82,27 @@ let dynamic_bundled ?obs ?focus (app : H.app) =
      bump "bytecodes" c.Vm.bytecodes;
      bump "invokes" c.Vm.invokes;
      bump "jni_crossings" (c.Vm.native_calls + c.Vm.jni_env_calls);
-     bump "sb_compiles" sb_compiles;
-     bump "sb_hits" sb_hits;
-     bump "sb_invalidations" sb_invalidations;
      bump "summaries_applied" summaries_applied;
      bump "summaries_rejected" summaries_rejected;
-     bump "focused_methods" (sb_stat (fun s -> s.Ndroid_core.Ndroid.focused_methods));
+     bump "focused_methods" (stat (fun s -> s.Ndroid_core.Ndroid.focused_methods));
      bump "skipped_bytecodes"
-       (sb_stat (fun s -> s.Ndroid_core.Ndroid.skipped_bytecodes))
+       (stat (fun s -> s.Ndroid_core.Ndroid.skipped_bytecodes))
    | Some _ | None -> ());
   let counter_meta =
     [ ("bytecodes", Json.Int c.Vm.bytecodes);
       ("invokes", Json.Int c.Vm.invokes);
       ("jni_crossings", Json.Int (c.Vm.native_calls + c.Vm.jni_env_calls));
-      ("sb_compiles", Json.Int sb_compiles);
-      ("sb_hits", Json.Int sb_hits);
-      ("sb_invalidations", Json.Int sb_invalidations);
+      (* always 0 since superblock translation was removed; kept so the
+         benchmark harness's replica of this report stays byte-identical *)
+      ("sb_compiles", Json.Int 0);
+      ("sb_hits", Json.Int 0);
+      ("sb_invalidations", Json.Int 0);
       ("summaries_applied", Json.Int summaries_applied);
       ("summaries_rejected", Json.Int summaries_rejected);
       ("focused_methods",
-       Json.Int (sb_stat (fun s -> s.Ndroid_core.Ndroid.focused_methods)));
+       Json.Int (stat (fun s -> s.Ndroid_core.Ndroid.focused_methods)));
       ("skipped_bytecodes",
-       Json.Int (sb_stat (fun s -> s.Ndroid_core.Ndroid.skipped_bytecodes))) ]
+       Json.Int (stat (fun s -> s.Ndroid_core.Ndroid.skipped_bytecodes))) ]
   in
   match outcome.H.analysis with
   | Some nd ->

@@ -18,9 +18,9 @@ val work_budget : int
     same app times out at the same point everywhere. *)
 
 val feature_key : string
-(** The dynamic path's feature switches (superblocks, native summaries,
-    focus gating) and {!work_budget}, folded into every cache key so
-    changing one invalidates exactly the results it could change. *)
+(** The dynamic path's feature switches (native summaries, focus gating)
+    and {!work_budget}, folded into every cache key so changing one
+    invalidates exactly the results it could change. *)
 
 val enable_summary_cache : Cache.t -> unit
 (** Persist native taint summaries as raw entries in [cache], keyed

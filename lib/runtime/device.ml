@@ -1250,7 +1250,7 @@ let create ?(profile = A.Device_profile.default) () =
       summaries_rejected = 0 }
   in
   (* runtime writes into a loaded image invalidate its summaries *)
-  Memory.on_code_write (Machine.mem machine) (fun addr ->
+  Memory.on_code_write (Machine.mem machine) (fun addr _len ->
       Hashtbl.iter
         (fun _ l -> if Summary.owns l addr then Summary.mark_dirty l)
         d.lib_summaries);

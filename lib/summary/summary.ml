@@ -5,7 +5,6 @@ module Exec = Ndroid_arm.Exec
 module Asm = Ndroid_arm.Asm
 module Taint = Ndroid_taint.Taint
 module Taint_engine = Ndroid_emulator.Taint_engine
-module Superblock = Ndroid_emulator.Superblock
 module Layout = Ndroid_emulator.Layout
 module Json = Ndroid_report.Json
 
@@ -103,6 +102,93 @@ let classify insn =
       Error "vfp"
     | Insn.B _ | Insn.Bx _ | Insn.Svc _ -> Error "control flow"
 
+(* ---- fused Table V composition ---- *)
+
+(* Any instruction that can write the PC (or trap) ends a block: branches,
+   data-processing with rd = 15, PC loads, POP {…, pc}, SVC. *)
+let ends_block = function
+  | Insn.B _ | Insn.Bx _ | Insn.Svc _ -> true
+  | Insn.Dp { rd; _ } | Insn.Mul { rd; _ } | Insn.Mla { rd; _ }
+  | Insn.Clz { rd; _ } ->
+    rd = 15
+  | Insn.Mull { rdlo; rdhi; _ } -> rdlo = 15 || rdhi = 15
+  | Insn.Mem { load; rd; _ } -> load && rd = 15
+  | Insn.Block { load; regs; _ } -> load && regs land 0x8000 <> 0
+  | Insn.Vmov_core { to_core; rt; _ } -> to_core && rt = 15
+  | Insn.Vdp _ | Insn.Vmem _ | Insn.Vcvt _ | Insn.Vcvt_int _ -> false
+
+let op2_mask masks = function
+  | Insn.Imm _ -> None
+  | Insn.Reg r | Insn.Reg_shift_imm (r, _, _) | Insn.Reg_shift_reg (r, _, _) ->
+    (* op2_taint ignores the shift-amount register, exactly as Table V
+       only names Rn and Rm *)
+    Some masks.(r)
+
+(* [fuse_step masks written insn] folds [insn]'s Table V rule into the
+   symbolic state when the rule is a pure function of entry-register taints
+   — unconditional, integer, register-only.  Returns [false] (state
+   untouched) for anything needing live CPU state at its program point. *)
+let fuse_step masks written insn =
+  let set rd m =
+    masks.(rd) <- m;
+    written := !written lor (1 lsl rd)
+  in
+  match insn with
+  | Insn.Dp { cond = Insn.AL; op; rd; rn; op2; _ } when rd <> 15 -> (
+    match op with
+    | Insn.TST | Insn.TEQ | Insn.CMP | Insn.CMN -> true  (* flags only *)
+    | Insn.MOV | Insn.MVN -> (
+      match op2_mask masks op2 with
+      | None -> set rd 0; true
+      | Some m -> set rd m; true)
+    | Insn.AND | Insn.EOR | Insn.SUB | Insn.RSB | Insn.ADD | Insn.ADC
+    | Insn.SBC | Insn.RSC | Insn.ORR | Insn.BIC -> (
+      match op2_mask masks op2 with
+      | None -> set rd masks.(rn); true
+      | Some m -> set rd (masks.(rn) lor m); true))
+  | Insn.Mul { cond = Insn.AL; rd; rm; rs; _ } when rd <> 15 ->
+    set rd (masks.(rm) lor masks.(rs));
+    true
+  | Insn.Mla { cond = Insn.AL; rd; rm; rs; rn; _ } when rd <> 15 ->
+    set rd (masks.(rm) lor masks.(rs) lor masks.(rn));
+    true
+  | Insn.Mull { cond = Insn.AL; rdlo; rdhi; rm; rs; _ }
+    when rdlo <> 15 && rdhi <> 15 ->
+    let m = masks.(rm) lor masks.(rs) in
+    set rdlo m;
+    set rdhi m;
+    true
+  | Insn.Clz { cond = Insn.AL; rd; rm } when rd <> 15 ->
+    set rd masks.(rm);
+    true
+  | _ -> false
+
+let identity_masks () = Array.init 16 (fun i -> 1 lsl i)
+
+let fused_pairs masks written =
+  let n = ref 0 in
+  for r = 0 to 15 do
+    if written land (1 lsl r) <> 0 then incr n
+  done;
+  let pairs = Array.make !n (0, 0) in
+  let i = ref 0 in
+  for r = 0 to 15 do
+    if written land (1 lsl r) <> 0 then begin
+      pairs.(!i) <- (r, masks.(r));
+      incr i
+    end
+  done;
+  pairs
+
+(* Whole-body fusion for the summary layer: the composed transfer of an
+   entire straight-line function, or [None] if any instruction resists. *)
+let fuse insns =
+  let masks = identity_masks () in
+  let written = ref 0 in
+  if Array.for_all (fuse_step masks written) insns then
+    Some (fused_pairs masks !written)
+  else None
+
 let emulate name addr len reason =
   { f_name = name; f_addr = addr; f_len = len; f_verdict = Emulate reason;
     f_masks = [||]; f_body = [||] }
@@ -124,7 +210,7 @@ let summarize cpu mem ~name addr =
       | insn, size ->
         incr count;
         if is_return insn then result := Some (Ok ())
-        else if Superblock.ends_block insn then
+        else if ends_block insn then
           result := Some (Error "control flow")
         else begin
           (match classify insn with
@@ -138,7 +224,7 @@ let summarize cpu mem ~name addr =
   | None -> assert false
   | Some (Ok ()) -> (
     let body = Array.of_list (List.rev !rev) in
-    match Superblock.fuse (Array.map (fun (_, i, _) -> i) body) with
+    match fuse (Array.map (fun (_, i, _) -> i) body) with
     | None ->
       (* classify accepted it, so fusion must too; belt and braces *)
       emulate name addr !count "unfusable"

@@ -10,6 +10,7 @@ module Vm = Ndroid_dalvik.Vm
 module Dvalue = Ndroid_dalvik.Dvalue
 module Interp = Ndroid_dalvik.Interp
 module Taint = Ndroid_taint.Taint
+module Budget = Ndroid_budget.Budget
 
 let check_taint = Alcotest.testable Taint.pp Taint.equal
 
@@ -224,6 +225,61 @@ let test_device_profile () =
   Alcotest.(check string) "fig8 record" "1 Vincent cx@gg.com"
     (A.Device_profile.contact_record c)
 
+(* ---- host-call charges under hostile arguments ---- *)
+
+(* Every modeled libc function, called with argument registers and stack
+   words drawn from values a hostile guest would pass: zero, small sizes,
+   the largest positive and unsigned words, a mapped buffer and a long C
+   string.  A call may return or raise; what it may not do is work that
+   its charge did not pay for.  Allocation is the witness: a call's
+   allocated bytes stay within a fixed multiple of its device's budget. *)
+
+let fuzz_budget = 100_000
+let fuzz_bytes_per_unit = 32
+let fuzz_buf = 0x30000000
+let fuzz_long = 0x30010000
+let fuzz_long_len = 60_000
+
+let libc_names =
+  List.map fst (A.Libc_model.functions (Device.libc_ctx (Device.create ())))
+
+let fuzz_word =
+  QCheck.Gen.(
+    oneof
+      [ return 0; int_range 1 64; return 0x7FFFFFFF; return 0xFFFFFFFF;
+        return fuzz_buf; return fuzz_long ])
+
+let fuzz_call =
+  QCheck.make
+    ~print:(fun (name, regs, stack) ->
+      let words ws = String.concat "," (List.map (Printf.sprintf "0x%x") ws) in
+      Printf.sprintf "%s(%s; stack %s)" name (words regs) (words stack))
+    QCheck.Gen.(
+      triple (oneofl libc_names) (list_repeat 4 fuzz_word)
+        (list_repeat 4 fuzz_word))
+
+let prop_host_call_charges =
+  QCheck.Test.make ~name:"libc: every host call pays for its work" ~count:600
+    fuzz_call
+    (fun (name, regs, stack) ->
+      Budget.with_budget (Budget.create fuzz_budget) (fun () ->
+          let device = Device.create () in
+          let machine = Device.machine device in
+          let mem = Machine.mem machine in
+          Memory.write_cstring mem fuzz_buf "%s %d %x host %s";
+          Memory.write_cstring mem fuzz_long (String.make fuzz_long_len 'a');
+          let addr = Machine.host_fn_addr machine name in
+          let before = Gc.allocated_bytes () in
+          (try
+             ignore
+               (Machine.call_native machine ~addr ~args:regs ~stack_args:stack ())
+           with _ -> ());
+          let spent = Gc.allocated_bytes () -. before in
+          if spent > float_of_int (fuzz_bytes_per_unit * fuzz_budget) then
+            QCheck.Test.fail_reportf "%s allocated %.0f bytes on a %d-unit budget"
+              name spent fuzz_budget;
+          true))
+
 let suite =
   [ Alcotest.test_case "filesystem" `Quick test_filesystem;
     Alcotest.test_case "network" `Quick test_network;
@@ -240,4 +296,5 @@ let suite =
     Alcotest.test_case "libc sockets" `Quick test_libc_sockets;
     Alcotest.test_case "libm" `Quick test_libm;
     Alcotest.test_case "Table VI/VII coverage" `Quick test_table_vi_vii_coverage;
-    Alcotest.test_case "device profile" `Quick test_device_profile ]
+    Alcotest.test_case "device profile" `Quick test_device_profile;
+    QCheck_alcotest.to_alcotest prop_host_call_charges ]

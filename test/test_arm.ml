@@ -312,9 +312,9 @@ let test_memory_primitives () =
 
 let test_icache () =
   let c = Ndroid_arm.Icache.create () in
-  Alcotest.(check bool) "miss" true (Ndroid_arm.Icache.find c 0x1000 = None);
-  Ndroid_arm.Icache.store c 0x1000 (Insn.bx_lr, 4);
-  Alcotest.(check bool) "hit" true (Ndroid_arm.Icache.find c 0x1000 <> None);
+  Alcotest.(check bool) "miss" true (Ndroid_arm.Icache.find c 0x1000 Cpu.Arm = None);
+  Ndroid_arm.Icache.store c 0x1000 Cpu.Arm (Insn.bx_lr, 4);
+  Alcotest.(check bool) "hit" true (Ndroid_arm.Icache.find c 0x1000 Cpu.Arm <> None);
   Alcotest.(check int) "hits" 1 (Ndroid_arm.Icache.hits c);
   Alcotest.(check int) "misses" 1 (Ndroid_arm.Icache.misses c)
 

@@ -1,23 +1,21 @@
-(* Differential tests for the three native taint paths: random
-   straight-line native bodies run through (1) the per-instruction
-   trace loop, (2) superblock execution with fused taint transfers, and
-   (3) — when the body is summary-exact — the digest-cached native taint
-   summary.  Registers, memory, and the full taint state must agree
-   across all paths (oracle pattern of test_dalvik_diff.ml).
+(* Differential tests for the two native taint paths: random
+   straight-line native bodies run through (1) the per-instruction trace
+   loop and (2) — when the body is summary-exact — the digest-cached
+   native taint summary.  Return values and the full taint state must
+   agree across both paths (oracle pattern of test_dalvik_diff.ml).
 
-   Plus deterministic regressions for self-modifying code: a runtime
-   write into a translated code page must invalidate the superblock and
-   reject the library's summaries, falling back to emulation. *)
+   Plus deterministic regressions for the decode cache and self-modifying
+   code: a runtime write into loaded code must drop the stale decodes and
+   reject the library's summaries, falling back to emulation; and the
+   same bytes entered in ARM and in Thumb mode must decode apart. *)
 
 module Taint = Ndroid_taint.Taint
 module Insn = Ndroid_arm.Insn
-module Cpu = Ndroid_arm.Cpu
 module Asm = Ndroid_arm.Asm
 module Memory = Ndroid_arm.Memory
 module Layout = Ndroid_emulator.Layout
 module Machine = Ndroid_emulator.Machine
 module Tracer = Ndroid_emulator.Tracer
-module Superblock = Ndroid_emulator.Superblock
 module Taint_engine = Ndroid_emulator.Taint_engine
 module Insn_taint = Ndroid_emulator.Insn_taint
 module Summary = Ndroid_summary.Summary
@@ -96,7 +94,7 @@ let print_case c =
     (String.concat ";" (List.map string_of_int c.args))
     (String.concat "\n  " (List.map Insn.to_string c.insns))
 
-(* ---------------- the three paths ---------------- *)
+(* ---------------- the two paths ---------------- *)
 
 let program c =
   let body = List.map (fun i -> Asm.I i) c.insns in
@@ -124,16 +122,7 @@ let taint_dump engine prog =
        (List.init 16 (fun i ->
             taint_str (Taint_engine.mem engine (buf + (4 * i)) 4))))
 
-let machine_dump m prog (r0, r1) =
-  let cpu = Machine.cpu m in
-  let buf = Asm.symbol prog "buf" in
-  Printf.sprintf "ret=%d,%d regs=[%s] buf=[%s]" r0 r1
-    (String.concat ";" (List.init 13 (fun i -> string_of_int (Cpu.reg cpu i))))
-    (String.concat ";"
-       (List.init 16 (fun i ->
-            string_of_int (Memory.read_u32 (Machine.mem m) (buf + (4 * i))))))
-
-let run_path ~superblocks prog c =
+let run_path prog c =
   let m = Machine.create () in
   Machine.load_program m prog;
   let engine = Taint_engine.create () in
@@ -143,10 +132,9 @@ let run_path ~superblocks prog c =
       ~handler:(fun ~addr ~insn -> Insn_taint.step engine cpu ~addr insn)
       m
   in
-  if superblocks then ignore (Machine.enable_superblocks ~engine m : Superblock.t);
   seed_taints engine prog;
-  let r0, r1 = Machine.call_native m ~addr:(Asm.fn_addr prog "f") ~args:c.args () in
-  ((r0, r1), m, engine)
+  let ret = Machine.call_native m ~addr:(Asm.fn_addr prog "f") ~args:c.args () in
+  (ret, engine)
 
 let run_summary prog c =
   let m = Machine.create () in
@@ -166,17 +154,12 @@ let run_summary prog c =
 
 let differential c =
   let prog = program c in
-  let ret_i, m_i, e_i = run_path ~superblocks:false prog c in
-  let ret_s, m_s, e_s = run_path ~superblocks:true prog c in
+  let ret_i, e_i = run_path prog c in
   let check what a b =
     if a <> b then
       QCheck.Test.fail_reportf "%s differs\nper-insn:   %s\nother path: %s" what
         a b
   in
-  check "machine state (superblock)"
-    (machine_dump m_i prog ret_i)
-    (machine_dump m_s prog ret_s);
-  check "taint state (superblock)" (taint_dump e_i prog) (taint_dump e_s prog);
   (match run_summary prog c with
    | Some (ret_m, e_m) ->
      check "return value (summary)"
@@ -190,36 +173,19 @@ let differential c =
        QCheck.Test.fail_reportf "register-only body not summarized as Exact");
   true
 
-let prop_three_paths =
-  QCheck.Test.make ~name:"per-insn == superblock == summary" ~count:400
+let prop_two_paths =
+  QCheck.Test.make ~name:"per-insn == summary" ~count:400
     (QCheck.make ~print:print_case case_gen)
     differential
 
 (* ---------------- self-modifying code ---------------- *)
 
-(* two one-instruction functions; patching f's body with g's first word
-   must invalidate f's superblock and change the observed return value *)
+(* two one-instruction functions; patching n's body with g's first word
+   must change the observed return value *)
 let selfmod_prog () =
   Asm.assemble ~base:Layout.app_lib_base
     [ Asm.Label "n"; Asm.I (Insn.mov 0 (Insn.Imm 1)); Asm.I Insn.bx_lr;
       Asm.Label "g"; Asm.I (Insn.mov 0 (Insn.Imm 2)); Asm.I Insn.bx_lr ]
-
-let test_superblock_invalidation () =
-  let prog = selfmod_prog () in
-  let m = Machine.create () in
-  Machine.load_program m prog;
-  let sb = Machine.enable_superblocks m in
-  let f = Asm.fn_addr prog "n" and g = Asm.fn_addr prog "g" in
-  let call () = fst (Machine.call_native m ~addr:f ~args:[] ()) in
-  Alcotest.(check int) "before patch" 1 (call ());
-  Alcotest.(check int) "warm cache" 1 (call ());
-  let hits_before = Superblock.hits sb in
-  Alcotest.(check bool) "block was cached" true (hits_before > 0);
-  (* runtime write into the translated code page *)
-  Memory.write_u32 (Machine.mem m) f (Memory.read_u32 (Machine.mem m) g);
-  Alcotest.(check int) "after patch" 2 (call ());
-  Alcotest.(check bool) "stale block retranslated" true
-    (Superblock.invalidations sb > 0)
 
 (* device level: a runtime write into a summarized library must mark its
    summaries dirty, so the JNI bridge rejects them and re-emulates *)
@@ -239,6 +205,39 @@ let selfmod_device () =
   Device.provide_library device "selfmod" (selfmod_prog ());
   Device.load_library device "selfmod";
   device
+
+(* The decode cache must not answer for bytes written since they were
+   decoded: at the machine level, for a whole-word patch and for a
+   halfword write into the upper half of a cached 4-byte instruction; and
+   through the device's JNI bridge with summaries off. *)
+let test_decode_invalidation () =
+  let prog = selfmod_prog () in
+  let m = Machine.create () in
+  Machine.load_program m prog;
+  let mem = Machine.mem m in
+  let f = Asm.fn_addr prog "n" and g = Asm.fn_addr prog "g" in
+  let call () = fst (Machine.call_native m ~addr:f ~args:[] ()) in
+  Alcotest.(check int) "before patch" 1 (call ());
+  Alcotest.(check int) "warm cache" 1 (call ());
+  Memory.write_u32 mem f (Memory.read_u32 mem g);
+  Alcotest.(check int) "after patch" 2 (call ());
+  (* the upper half of [mvn r0, #2] over the upper half of [mov r0, #2] *)
+  let mvn =
+    Asm.assemble ~base:Layout.app_lib_base [ Asm.I (Insn.mvn 0 (Insn.Imm 2)) ]
+  in
+  Memory.write_u16 mem (f + 2) (Bytes.get_uint16_le (Asm.code mvn) 2);
+  Alcotest.(check int) "after halfword patch" 0xFFFFFFFD (call ());
+  let device = selfmod_device () in
+  let run () =
+    match Device.run device selfmod_cls "call" [||] with
+    | Dvalue.Int v, _ -> Int32.to_int v
+    | v, _ -> Alcotest.failf "unexpected result %s" (Dvalue.to_string v)
+  in
+  Alcotest.(check int) "device before patch" 1 (run ());
+  Alcotest.(check int) "device warm cache" 1 (run ());
+  let mem = Machine.mem (Device.machine device) in
+  Memory.write_u32 mem f (Memory.read_u32 mem g);
+  Alcotest.(check int) "device after patch" 2 (run ())
 
 let test_summary_staleness () =
   let device = selfmod_device () in
@@ -270,9 +269,7 @@ let test_detection_agreement () =
     (fun (app : H.app) ->
       let base = H.run H.Ndroid_full app in
       let configs =
-        [ ("superblocks", H.run ~superblocks:true H.Ndroid_full app);
-          ("summaries", H.run ~summaries:true H.Ndroid_full app);
-          ("both", H.run ~superblocks:true ~summaries:true H.Ndroid_full app) ]
+        [ ("summaries", H.run ~summaries:true H.Ndroid_full app) ]
       in
       List.iter
         (fun (name, o) ->
@@ -314,13 +311,45 @@ let test_summary_cache_roundtrip () =
   | names -> Array.iter (fun n -> Sys.remove (Filename.concat dir n)) names
   | exception Sys_error _ -> ()
 
+(* ---------------- ARM and Thumb entries to the same bytes ---------------- *)
+
+(* [mov r0, #1; bx lr] entered in ARM mode, then at the same address in
+   Thumb mode: the Thumb entry must decode the Thumb stream those bytes
+   hold, not reuse the ARM decode, and so behave as it does with the
+   decode cache off. *)
+let test_decode_mode_key () =
+  let prog =
+    Asm.assemble ~base:Layout.app_lib_base
+      [ Asm.Label "f"; Asm.I (Insn.mov 0 (Insn.Imm 1)); Asm.I Insn.bx_lr ]
+  in
+  let f = Asm.fn_addr prog "f" in
+  let outcome ~icache =
+    let m = Machine.create () in
+    Machine.set_icache_enabled m icache;
+    Machine.load_program m prog;
+    let arm = fst (Machine.call_native m ~addr:f ~args:[] ()) in
+    let thumb =
+      match Machine.call_native m ~fuel:1000 ~addr:(f lor 1) ~args:[] () with
+      | r0, _ -> Printf.sprintf "r0=%d" r0
+      | exception Machine.Runaway n -> Printf.sprintf "runaway %d" n
+    in
+    (arm, thumb)
+  in
+  let arm_off, thumb_off = outcome ~icache:false in
+  let arm_on, thumb_on = outcome ~icache:true in
+  Alcotest.(check int) "ARM entry" arm_off arm_on;
+  Alcotest.(check int) "ARM entry returns 1" 1 arm_on;
+  Alcotest.(check string) "Thumb entry as with the cache off" thumb_off thumb_on
+
 let suite =
-  [ QCheck_alcotest.to_alcotest prop_three_paths;
-    Alcotest.test_case "self-modifying code invalidates superblocks" `Quick
-      test_superblock_invalidation;
+  [ QCheck_alcotest.to_alcotest prop_two_paths;
+    Alcotest.test_case "self-modifying code drops stale decodes" `Quick
+      test_decode_invalidation;
     Alcotest.test_case "self-modifying code rejects stale summaries" `Quick
       test_summary_staleness;
     Alcotest.test_case "detection apps agree across all taint paths" `Quick
       test_detection_agreement;
     Alcotest.test_case "summaries persist through the pipeline cache" `Quick
-      test_summary_cache_roundtrip ]
+      test_summary_cache_roundtrip;
+    Alcotest.test_case "decode cache keys ARM and Thumb apart" `Quick
+      test_decode_mode_key ]
