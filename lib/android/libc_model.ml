@@ -494,11 +494,12 @@ let fn_recv ctx cpu mem =
 
 let cstr_cap = 65536
 
-let cstr_len mem addr =
-  let rec go i =
-    if i >= cstr_cap || Memory.read_u8 mem (addr + i) = 0 then i else go (i + 1)
-  in
-  go 0
+(* a top-level loop: a local one would allocate its closure per call *)
+let rec cstr_scan mem addr i =
+  if i >= cstr_cap || Memory.read_u8 mem (addr + i) = 0 then i
+  else cstr_scan mem addr (i + 1)
+
+let cstr_len mem addr = cstr_scan mem addr 0
 
 (* a product of two 32-bit arguments, which can exceed [max_int] *)
 let times a b = if a <> 0 && b > max_int / a then max_int else a * b
@@ -560,89 +561,90 @@ let charge name =
   | "fprintf" | "vfprintf" -> Some (charge_format ~fmt:1 ~first:2)
   | _ -> None
 
-let functions ctx =
-  let f name handler = (name, fun cpu mem -> handler ctx cpu mem) in
-  [ f "memcpy" fn_memcpy;
-    f "memmove" fn_memcpy;
-    f "memset" fn_memset;
-    f "memcmp" fn_memcmp;
-    f "memchr" fn_memchr;
-    f "strlen" fn_strlen;
-    f "strcmp" fn_strcmp;
-    f "strncmp" fn_strncmp;
-    f "strcasecmp" fn_strcasecmp;
-    f "strncasecmp" fn_strncasecmp;
-    f "strcpy" fn_strcpy;
-    f "strncpy" fn_strncpy;
-    f "strcat" fn_strcat;
-    f "strchr" fn_strchr;
-    f "strrchr" fn_strrchr;
-    f "strstr" fn_strstr;
-    f "atoi" fn_atoi;
-    f "atol" fn_atol;
-    f "strtoul" fn_strtoul;
-    f "malloc" fn_malloc;
-    f "calloc" fn_calloc;
-    f "free" fn_free;
-    f "realloc" fn_realloc;
-    f "strdup" fn_strdup;
-    f "sprintf" fn_sprintf;
-    f "vsprintf" fn_sprintf;
-    f "snprintf" fn_snprintf;
-    f "vsnprintf" fn_snprintf;
-    f "sscanf" fn_sscanf;
-    f "sysconf" fn_sysconf;
-    f "fopen" fn_fopen;
-    f "fclose" fn_fclose;
-    f "fwrite" fn_fwrite;
-    f "fread" fn_fread;
-    f "fputs" fn_fputs;
-    f "fputc" fn_fputc;
-    f "fgets" fn_fgets;
-    f "getc" fn_getc;
-    f "fprintf" fn_fprintf;
-    f "vfprintf" fn_fprintf;
-    f "fdopen" fn_fdopen;
-    f "open" fn_open;
-    f "close" fn_close;
-    f "write" fn_write;
-    f "read" fn_read;
-    f "mkdir" fn_mkdir;
-    f "stat" fn_stat;
-    f "fstat" fn_stat;
-    f "fcntl" fn_ret0;
-    f "ioctl" fn_ret0;
-    f "mmap" fn_mmap;
-    f "munmap" fn_munmap;
-    f "mprotect" fn_ret0;
-    f "rename" fn_ret0;
-    f "remove" fn_ret0;
-    f "kill" fn_ret0;
-    f "fork" fn_ret0;
-    f "execve" fn_ret0;
-    f "chown" fn_ret0;
-    f "ptrace" fn_ret0;
-    f "select" fn_ret0;
-    f "listen" fn_ret0;
-    f "accept" fn_ret0;
-    f "bind" fn_ret0;
-    f "dlopen" (fun ctx cpu mem ->
+let functions =
+  [ ("memcpy", fn_memcpy);
+    ("memmove", fn_memcpy);
+    ("memset", fn_memset);
+    ("memcmp", fn_memcmp);
+    ("memchr", fn_memchr);
+    ("strlen", fn_strlen);
+    ("strcmp", fn_strcmp);
+    ("strncmp", fn_strncmp);
+    ("strcasecmp", fn_strcasecmp);
+    ("strncasecmp", fn_strncasecmp);
+    ("strcpy", fn_strcpy);
+    ("strncpy", fn_strncpy);
+    ("strcat", fn_strcat);
+    ("strchr", fn_strchr);
+    ("strrchr", fn_strrchr);
+    ("strstr", fn_strstr);
+    ("atoi", fn_atoi);
+    ("atol", fn_atol);
+    ("strtoul", fn_strtoul);
+    ("malloc", fn_malloc);
+    ("calloc", fn_calloc);
+    ("free", fn_free);
+    ("realloc", fn_realloc);
+    ("strdup", fn_strdup);
+    ("sprintf", fn_sprintf);
+    ("vsprintf", fn_sprintf);
+    ("snprintf", fn_snprintf);
+    ("vsnprintf", fn_snprintf);
+    ("sscanf", fn_sscanf);
+    ("sysconf", fn_sysconf);
+    ("fopen", fn_fopen);
+    ("fclose", fn_fclose);
+    ("fwrite", fn_fwrite);
+    ("fread", fn_fread);
+    ("fputs", fn_fputs);
+    ("fputc", fn_fputc);
+    ("fgets", fn_fgets);
+    ("getc", fn_getc);
+    ("fprintf", fn_fprintf);
+    ("vfprintf", fn_fprintf);
+    ("fdopen", fn_fdopen);
+    ("open", fn_open);
+    ("close", fn_close);
+    ("write", fn_write);
+    ("read", fn_read);
+    ("mkdir", fn_mkdir);
+    ("stat", fn_stat);
+    ("fstat", fn_stat);
+    ("fcntl", fn_ret0);
+    ("ioctl", fn_ret0);
+    ("mmap", fn_mmap);
+    ("munmap", fn_munmap);
+    ("mprotect", fn_ret0);
+    ("rename", fn_ret0);
+    ("remove", fn_ret0);
+    ("kill", fn_ret0);
+    ("fork", fn_ret0);
+    ("execve", fn_ret0);
+    ("chown", fn_ret0);
+    ("ptrace", fn_ret0);
+    ("select", fn_ret0);
+    ("listen", fn_ret0);
+    ("accept", fn_ret0);
+    ("bind", fn_ret0);
+    ( "dlopen",
+      fun ctx cpu mem ->
         let name = Memory.read_cstring mem (arg cpu mem 0) in
         let handle =
           match ctx.dl_open with Some dl -> dl name | None -> 0
         in
         ret cpu handle);
-    f "dlsym" (fun ctx cpu mem ->
+    ( "dlsym",
+      fun ctx cpu mem ->
         let handle = arg cpu mem 0 in
         let sym = Memory.read_cstring mem (arg cpu mem 1) in
         let addr =
           match ctx.dl_sym with Some dl -> dl handle sym | None -> 0
         in
         ret cpu addr);
-    f "dlclose" fn_ret0;
-    f "socket" fn_socket;
-    f "connect" fn_connect;
-    f "send" fn_send;
-    f "sendto" fn_sendto;
-    f "recv" fn_recv;
-    f "recvfrom" fn_recv ]
+    ("dlclose", fn_ret0);
+    ("socket", fn_socket);
+    ("connect", fn_connect);
+    ("send", fn_send);
+    ("sendto", fn_sendto);
+    ("recv", fn_recv);
+    ("recvfrom", fn_recv) ]

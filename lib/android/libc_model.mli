@@ -18,15 +18,16 @@ type ctx
 
 val create_ctx : Filesystem.t -> Network.t -> Native_heap.t -> ctx
 
-val functions : ctx -> (string * (Cpu.t -> Memory.t -> unit)) list
-(** Every modeled function as (name, handler).  Handlers read arguments
-    from r0-r3 and the stack per the AAPCS, perform the behaviour, and
-    leave the result in r0 (r0:r1 for doubles). *)
+val functions : (string * (ctx -> Cpu.t -> Memory.t -> unit)) list
+(** Every modeled function as (name, handler), the same for every device:
+    a handler acts on the [ctx] it is called with.  Handlers read
+    arguments from r0-r3 and the stack per the AAPCS, perform the
+    behaviour, and leave the result in r0 (r0:r1 for doubles). *)
 
 val charge :
   string -> (Ndroid_budget.Budget.t -> Cpu.t -> Memory.t -> unit) option
 (** The work charge of the named function, to mount with it
-    ([Machine.mount_host_fn ~charge]): one budget unit per byte
+    ([Machine.host ~charge]): one budget unit per byte
     its arguments ask it to touch — the length of a [memcpy], each C
     string it scans, the output of a [sprintf] — paid before the call.
     [None] for functions whose work is fixed or bounded by data already

@@ -53,6 +53,29 @@ let boot app =
     (app.build_libs (host_resolver device));
   device
 
+let boot_bytes_bound = 30_000.
+
+let boot_cost () =
+  ignore (Device.create ());
+  (* OCaml 5 folds the minor heap's allocation into the counters only at
+     a minor collection, and the major-heap counters can lag one
+     collection behind: force two on each side *)
+  Gc.minor ();
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let a0 = Gc.allocated_bytes () in
+  let d = Device.create () in
+  Gc.minor ();
+  Gc.minor ();
+  let a1 = Gc.allocated_bytes () in
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity d);
+  let direct_major =
+    s1.Gc.major_words -. s0.Gc.major_words
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  (a1 -. a0, direct_major)
+
 let contains_substring = Flow_log.contains
 
 let run ?obs ?(summaries = false) ?focus mode app =

@@ -42,6 +42,16 @@ val boot : app -> Device.t
 (** Fresh device with the app's classes installed and libraries provided
     (loaded eagerly so every mode starts equal). *)
 
+val boot_cost : unit -> float * float
+(** What one [Device.create] allocates: its bytes, and the words it puts
+    straight on the major heap (an array over 256 words; should be none).
+    Deterministic: the counts move only when the boot's work does. *)
+
+val boot_bytes_bound : float
+(** The pinned bound on the bytes of {!boot_cost}: 27,864 measured
+    (64-bit), with a small margin.  The runtime tests and [bench perf]'s
+    [device_boot] gate both check it. *)
+
 val run :
   ?obs:Ndroid_obs.Ring.t ->
   ?summaries:bool ->

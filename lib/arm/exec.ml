@@ -297,7 +297,8 @@ let decode_at cpu mem addr =
 let fetch_decode ?icache cpu mem addr =
   match icache with
   | Some c ->
-    if Icache.probe c addr cpu.Cpu.mode then Icache.cached c addr
+    let i = Icache.lookup c addr cpu.Cpu.mode in
+    if i >= 0 then Icache.entry c i
     else begin
       let entry = decode_at cpu mem addr in
       Icache.store c addr cpu.Cpu.mode entry;

@@ -63,12 +63,13 @@ let page m addr =
   let key = addr lsr page_bits in
   if m.last_key = key then m.last_page
   else
-    match Hashtbl.find_opt m.pages key with
-    | Some p ->
+    (* [find], not [find_opt]: a page switch allocates no option *)
+    match Hashtbl.find m.pages key with
+    | p ->
       m.last_key <- key;
       m.last_page <- p;
       p
-    | None ->
+    | exception Not_found ->
       let p = Bytes.make page_size '\000' in
       Hashtbl.replace m.pages key p;
       m.last_key <- key;

@@ -22,21 +22,66 @@ type event =
 
 exception Runaway of int
 
-(* A mounted host function: [charge] spends the budget units its
-   arguments ask for beyond the one every call costs (see [step]). *)
-type mounted = {
-  mo_fn : host_fn;
-  mo_charge : Budget.t -> Cpu.t -> Memory.t -> unit;
-  mo_run : Cpu.t -> Memory.t -> unit;
+(* A host function of an image: [h_charge] spends the budget units its
+   arguments ask for beyond the one every call costs (see [step]); both it
+   and [h_run] take the context the machine was bound with. *)
+type 'ctx host = {
+  h_fn : host_fn;
+  h_charge : 'ctx -> Budget.t -> Cpu.t -> Memory.t -> unit;
+  h_run : 'ctx -> Cpu.t -> Memory.t -> unit;
 }
+
+(* Never written after [image] returns: every domain reads the tables
+   without locks. *)
+type 'ctx image = {
+  i_by_addr : (int, 'ctx host) Hashtbl.t;
+  i_by_name : (string, 'ctx host) Hashtbl.t;
+  i_fns : host_fn list;  (* in address order *)
+  i_lo : int;
+  i_hi : int;
+}
+
+let no_charge _ _ _ _ = ()
+
+let host ~lib ~name ~addr ?(charge = no_charge) run =
+  { h_fn = { hf_name = name; hf_lib = lib; hf_addr = addr }; h_charge = charge;
+    h_run = run }
+
+let image hosts =
+  let n = List.length hosts in
+  let by_addr = Hashtbl.create n and by_name = Hashtbl.create n in
+  List.iter
+    (fun h ->
+      let addr = h.h_fn.hf_addr in
+      if Hashtbl.mem by_addr addr then
+        invalid_arg (Printf.sprintf "host address 0x%x already taken" addr);
+      Hashtbl.replace by_addr addr h;
+      Hashtbl.replace by_name h.h_fn.hf_name h)
+    hosts;
+  let fns =
+    List.sort (fun a b -> compare a.hf_addr b.hf_addr)
+      (List.map (fun h -> h.h_fn) hosts)
+  in
+  let addrs = List.map (fun f -> f.hf_addr) fns in
+  { i_by_addr = by_addr; i_by_name = by_name; i_fns = fns;
+    i_lo = List.fold_left min max_int addrs;
+    i_hi = List.fold_left max min_int addrs }
+
+let image_fns img = img.i_fns
+
+(* A machine's host functions: an image and the context its handlers run
+   with.  The context's type is the binder's business. *)
+type binding = Binding : 'ctx image * 'ctx -> binding
+
+let unbound = Binding (image [], ())
 
 type t = {
   m_cpu : Cpu.t;
   m_mem : Memory.t;
-  host_by_addr : (int, mounted) Hashtbl.t;
-  host_by_name : (string, mounted) Hashtbl.t;
-  (* mounted-address bounds: the trace loop's cheap "can this PC possibly be
-     a host function?" gate, so guest code pays no hashtable hit per step *)
+  mutable host : binding;
+  (* the image's address bounds, copied here: the trace loop's cheap "can
+     this PC possibly be a host function?" gate, so guest code pays no
+     hashtable hit per step *)
   mutable host_lo : int;
   mutable host_hi : int;
   mutable listeners : (event -> unit) array;
@@ -58,8 +103,7 @@ let create () =
   let t =
     { m_cpu = cpu;
       m_mem = Memory.create ();
-      host_by_addr = Hashtbl.create 256;
-      host_by_name = Hashtbl.create 256;
+      host = unbound;
       host_lo = max_int;
       host_hi = min_int;
       listeners = [||];
@@ -79,6 +123,11 @@ let create () =
   Memory.on_code_write t.m_mem (fun addr len ->
       match t.icache with Some c -> Icache.invalidate c addr len | None -> ());
   t
+
+let bind t img ctx =
+  t.host <- Binding (img, ctx);
+  t.host_lo <- img.i_lo;
+  t.host_hi <- img.i_hi
 
 let cpu t = t.m_cpu
 let mem t = t.m_mem
@@ -102,25 +151,16 @@ let icache_stats t =
   | Some c -> (Icache.hits c, Icache.misses c)
   | None -> (0, 0)
 
-let no_charge _ _ _ = ()
-
-let mount_host_fn t ~lib ~name ~addr ?(charge = no_charge) run =
-  if Hashtbl.mem t.host_by_addr addr then
-    invalid_arg (Printf.sprintf "host address 0x%x already mounted" addr);
-  let hf = { hf_name = name; hf_lib = lib; hf_addr = addr } in
-  let m = { mo_fn = hf; mo_charge = charge; mo_run = run } in
-  Hashtbl.replace t.host_by_addr addr m;
-  Hashtbl.replace t.host_by_name name m;
-  if addr < t.host_lo then t.host_lo <- addr;
-  if addr > t.host_hi then t.host_hi <- addr;
-  hf
-
-let host_fn_addr t name = (Hashtbl.find t.host_by_name name).mo_fn.hf_addr
+let host_fn_addr t name =
+  match t.host with
+  | Binding (img, _) -> (Hashtbl.find img.i_by_name name).h_fn.hf_addr
 
 let find_host_fn t addr =
-  match Hashtbl.find_opt t.host_by_addr addr with
-  | Some m -> Some m.mo_fn
-  | None -> None
+  match t.host with
+  | Binding (img, _) -> (
+    match Hashtbl.find_opt img.i_by_addr addr with
+    | Some h -> Some h.h_fn
+    | None -> None)
 
 (* Listeners live in an array: attaching stays in attachment order without
    the old quadratic list append, and emitting is an allocation-free indexed
@@ -155,20 +195,28 @@ let emit_branch t ~from_ ~to_ ~is_call =
     emit t t.ev_branch
   end
 
-let call_host t ~from_ name =
-  let { mo_fn = hf; mo_charge; mo_run = run } = Hashtbl.find t.host_by_name name in
-  mo_charge t.budget t.m_cpu t.m_mem;
+(* Pay for one call of [h] before any listener runs: the listeners repeat
+   the call's range work (taint copies, sink inspection). *)
+let charge_host t h ctx =
+  h.h_charge ctx t.budget t.m_cpu t.m_mem;
   t.host_calls <- t.host_calls + 1;
-  burn_host_work t;
-  if has_listeners t then begin
-    emit_branch t ~from_ ~to_:hf.hf_addr ~is_call:true;
-    emit t (Ev_host_pre hf)
-  end;
-  run t.m_cpu t.m_mem;
-  if has_listeners t then begin
-    emit t (Ev_host_post hf);
-    emit_branch t ~from_:hf.hf_addr ~to_:(from_ + 4) ~is_call:false
-  end
+  burn_host_work t
+
+let call_host t ~from_ name =
+  match t.host with
+  | Binding (img, ctx) ->
+    let h = Hashtbl.find img.i_by_name name in
+    let hf = h.h_fn in
+    charge_host t h ctx;
+    if has_listeners t then begin
+      emit_branch t ~from_ ~to_:hf.hf_addr ~is_call:true;
+      emit t (Ev_host_pre hf)
+    end;
+    h.h_run ctx t.m_cpu t.m_mem;
+    if has_listeners t then begin
+      emit t (Ev_host_post hf);
+      emit_branch t ~from_:hf.hf_addr ~to_:(from_ + 4) ~is_call:false
+    end
 
 let load_program t prog =
   Asm.load prog t.m_mem;
@@ -223,33 +271,30 @@ let step_insn t pc =
 
 let step t =
   let pc = Cpu.pc t.m_cpu in
-  match
-    if pc >= t.host_lo && pc <= t.host_hi then
-      Hashtbl.find_opt t.host_by_addr pc
-    else None
-  with
-  | Some { mo_fn = hf; mo_charge; mo_run = run } ->
-    burn t;
-    (* before the listeners: they repeat the call's range work (taint
-       copies, sink inspection) *)
-    mo_charge t.budget t.m_cpu t.m_mem;
-    t.host_calls <- t.host_calls + 1;
-    burn_host_work t;
-    if has_listeners t then emit t (Ev_host_pre hf);
-    run t.m_cpu t.m_mem;
-    if has_listeners t then emit t (Ev_host_post hf);
-    (* return to the caller, honouring interworking *)
-    let ret = Cpu.lr t.m_cpu in
-    if ret land 1 = 1 then begin
-      t.m_cpu.Cpu.mode <- Cpu.Thumb;
-      Cpu.set_pc t.m_cpu (ret land lnot 1)
-    end
-    else begin
-      t.m_cpu.Cpu.mode <- Cpu.Arm;
-      Cpu.set_pc t.m_cpu (ret land mask32)
-    end;
-    emit_branch t ~from_:hf.hf_addr ~to_:(ret land lnot 1) ~is_call:false
-  | None -> step_insn t pc
+  if pc >= t.host_lo && pc <= t.host_hi then
+    match t.host with
+    | Binding (img, ctx) -> (
+      match Hashtbl.find_opt img.i_by_addr pc with
+      | Some h ->
+        let hf = h.h_fn in
+        burn t;
+        charge_host t h ctx;
+        if has_listeners t then emit t (Ev_host_pre hf);
+        h.h_run ctx t.m_cpu t.m_mem;
+        if has_listeners t then emit t (Ev_host_post hf);
+        (* return to the caller, honouring interworking *)
+        let ret = Cpu.lr t.m_cpu in
+        if ret land 1 = 1 then begin
+          t.m_cpu.Cpu.mode <- Cpu.Thumb;
+          Cpu.set_pc t.m_cpu (ret land lnot 1)
+        end
+        else begin
+          t.m_cpu.Cpu.mode <- Cpu.Arm;
+          Cpu.set_pc t.m_cpu (ret land mask32)
+        end;
+        emit_branch t ~from_:hf.hf_addr ~to_:(ret land lnot 1) ~is_call:false
+      | None -> step_insn t pc)
+  else step_insn t pc
 
 let call_native t ?(fuel = 50_000_000) ~addr ~args ?(stack_args = []) () =
   let cpu = t.m_cpu in

@@ -36,11 +36,46 @@ type event =
 exception Runaway of int
 (** Raised when a run exceeds its fuel (instruction budget). *)
 
+(** {1 Host-function images} *)
+
+type 'ctx host
+(** One host function: where it is mounted, what a call costs, and its
+    handler, which runs with a context of type ['ctx]. *)
+
+val host : lib:string -> name:string -> addr:int ->
+  ?charge:('ctx -> Ndroid_budget.Budget.t -> Cpu.t -> Memory.t -> unit) ->
+  ('ctx -> Cpu.t -> Memory.t -> unit) -> 'ctx host
+(** A host function at a guest address.  The handler must follow the
+    AAPCS (result in r0).  A call costs one unit of the work budget; a
+    function whose work grows with a size its arguments choose also gets
+    a [charge] that spends those units ({!Ndroid_budget.Budget.charge}),
+    run before the call's listeners and body. *)
+
+type 'ctx image
+(** An immutable table of host functions: name → entry, address → entry,
+    and the bounds of the mounted addresses.  Build it once per process
+    and bind it to any number of machines: nothing writes it after
+    {!image} returns, so every domain reads it without locks. *)
+
+val image : 'ctx host list -> 'ctx image
+(** @raise Invalid_argument if two functions share an address. *)
+
+val image_fns : 'ctx image -> host_fn list
+(** Every function of the image, in address order. *)
+
+(** {1 Machines} *)
+
 type t
 
 val create : unit -> t
 (** Fresh machine: empty memory, stack pointer at the top of the stack
-    region, no listeners, instruction cache enabled. *)
+    region, no listeners, instruction cache enabled, no host functions
+    until {!bind}. *)
+
+val bind : t -> 'ctx image -> 'ctx -> unit
+(** Give the machine its host functions: a branch to an address of
+    [image] runs that function's charge and handler with [ctx].  Call once
+    per machine, before it runs. *)
 
 val cpu : t -> Cpu.t
 val mem : t -> Memory.t
@@ -60,18 +95,8 @@ val set_host_fn_work : t -> int -> unit
 val icache_stats : t -> int * int
 (** (hits, misses). *)
 
-val mount_host_fn : t -> lib:string -> name:string -> addr:int ->
-  ?charge:(Ndroid_budget.Budget.t -> Cpu.t -> Memory.t -> unit) ->
-  (Cpu.t -> Memory.t -> unit) -> host_fn
-(** Mount a host function at a guest address.  The handler must follow the
-    AAPCS (result in r0).  A call costs one unit of the work budget; a
-    function whose work grows with a size its arguments choose also gets
-    a [charge] that spends those units ({!Ndroid_budget.Budget.charge}),
-    run before the call's listeners and body.
-    @raise Invalid_argument if the address is taken. *)
-
 val host_fn_addr : t -> string -> int
-(** Address of a mounted function by name. @raise Not_found. *)
+(** Address of a bound host function by name. @raise Not_found. *)
 
 val find_host_fn : t -> int -> host_fn option
 
@@ -92,7 +117,7 @@ val call_host : t -> from_:int -> string -> unit
     a return branch [addr → from_ + 4].  This is how libdvm internals
     surface their call chains ([NewStringUTF] → [dvmCreateStringFromCstr],
     Fig. 6; the Fig. 5 chain).  Arguments and results travel in registers,
-    as they would on hardware.  @raise Not_found for unmounted names. *)
+    as they would on hardware.  @raise Not_found for unbound names. *)
 
 val load_program : t -> Ndroid_arm.Asm.program -> unit
 (** Copy an assembled library into guest memory, remember it in the

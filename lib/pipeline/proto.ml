@@ -263,6 +263,10 @@ module Client = struct
     match Wire.read_frame t.c_fd with
     | None -> Stdlib.Error "server closed the connection"
     | Some frame -> of_frame frame
+    | exception Wire.Frame_too_large { length; _ } ->
+      Stdlib.Error
+        (Printf.sprintf "server sent a %d-byte frame (limit %d)" length
+           Wire.max_frame)
 
   let close t = try Unix.close t.c_fd with Unix.Unix_error _ -> ()
 end

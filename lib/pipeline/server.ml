@@ -389,39 +389,41 @@ let serve cfg =
                        (Shard_queue.remaining queue) })
           end)
   in
+  (* one decisive error, then the connection closes as soon as what is
+     queued for it is written; nothing more it sends is read *)
+  let refuse (c : client) msg =
+    queue_out c (Proto.Error msg);
+    c.cl_closing <- true;
+    flush_client c
+  in
   let handle_client_frame (c : client) frame =
-    match Proto.of_frame frame with
-    | Ok (Proto.Submit s) -> admit c s
-    | Ok (Proto.Subscribe s) -> (
-      match
-        match s.Proto.su_app with
-        | None -> Ok None
-        | Some re -> (
-          try Ok (Some (Str.regexp re))
-          with Failure e | Invalid_argument e ->
-            Error (Printf.sprintf "bad app regex %S: %s" re e))
-      with
+    if not c.cl_closing then
+      match Proto.of_frame frame with
+      | Ok (Proto.Submit s) -> admit c s
+      | Ok (Proto.Subscribe s) -> (
+        match
+          match s.Proto.su_app with
+          | None -> Ok None
+          | Some re -> (
+            try Ok (Some (Str.regexp re))
+            with Failure e | Invalid_argument e ->
+              Error (Printf.sprintf "bad app regex %S: %s" re e))
+        with
+        | Error e -> refuse c e
+        | Ok regexp ->
+          incr subscribers;
+          c.cl_sub <-
+            Some
+              { sb_cats = s.Proto.su_cats; sb_regexp = regexp;
+                sb_window = max 0 s.Proto.su_window;
+                sb_throttle = Stream.throttle ~window:(max 0 s.Proto.su_window);
+                sb_updropped = 0; sb_uplost = 0; sb_lost = 0 };
+          log "client %d subscribed to traces (window %d)" c.cl_slot
+            s.Proto.su_window)
+      | Ok _ -> refuse c "clients may only send Submit or Subscribe messages"
       | Error e ->
-        queue_out c (Proto.Error e);
-        c.cl_closing <- true
-      | Ok regexp ->
-        incr subscribers;
-        c.cl_sub <-
-          Some
-            { sb_cats = s.Proto.su_cats; sb_regexp = regexp;
-              sb_window = max 0 s.Proto.su_window;
-              sb_throttle = Stream.throttle ~window:(max 0 s.Proto.su_window);
-              sb_updropped = 0; sb_uplost = 0; sb_lost = 0 };
-        log "client %d subscribed to traces (window %d)" c.cl_slot
-          s.Proto.su_window)
-    | Ok _ ->
-      queue_out c
-        (Proto.Error "clients may only send Submit or Subscribe messages");
-      c.cl_closing <- true
-    | Error e ->
-      (* decisive: version mismatches and garbage close the connection *)
-      queue_out c (Proto.Error e);
-      c.cl_closing <- true
+        (* decisive: version mismatches and garbage close the connection *)
+        refuse c e
   in
   (* ---- worker domains: dispatch, deadlines and completions ---- *)
   let free_slot_of arr =
@@ -540,7 +542,7 @@ let serve cfg =
     Array.iter
       (function
         | Some c ->
-          rfds := c.cl_fd :: !rfds;
+          if not c.cl_closing then rfds := c.cl_fd :: !rfds;
           if c.cl_out <> "" then wfds := c.cl_fd :: !wfds
         | None -> ())
       clients;
@@ -570,6 +572,11 @@ let serve cfg =
           | `Eof frames ->
             List.iter (handle_client_frame c) frames;
             client_gone c
+          | exception Wire.Frame_too_large { length; before } ->
+            List.iter (handle_client_frame c) before;
+            refuse c
+              (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit"
+                 length Wire.max_frame)
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
             ->
             ())

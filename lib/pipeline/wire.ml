@@ -1,5 +1,11 @@
 let header_len = 4
 
+(* 64 MiB: far above any request or verdict, far below what a 32-bit
+   length can announce *)
+let max_frame = 1 lsl 26
+
+exception Frame_too_large of { length : int; before : string list }
+
 (* v2 added the streaming-trace messages (Subscribe/Trace) and the
    Submit "trace" flag; a v1 peer would misread those frames, so the
    version byte went up. *)
@@ -41,7 +47,9 @@ let read_frame fd =
   match read_exactly fd header_len with
   | None -> None
   | Some hdr -> (
-    match read_exactly fd (decode_len hdr 0) with
+    let len = decode_len hdr 0 in
+    if len > max_frame then raise (Frame_too_large { length = len; before = [] });
+    match read_exactly fd len with
     | None -> None
     | Some payload -> Some (Bytes.to_string payload))
 
@@ -59,15 +67,24 @@ let ensure_capacity r extra =
     r.buf <- bigger
   end
 
+(* Every whole frame in the buffer, in order; what follows them moves to
+   the front.  A header announcing more than [max_frame] raises, with the
+   frames before it, as soon as its four bytes are in: the buffer never
+   grows toward the announced length. *)
 let completed_frames r =
   let frames = ref [] in
   let off = ref 0 in
+  let too_large = ref 0 in
   let continue = ref true in
   while !continue do
     if r.used - !off < header_len then continue := false
     else begin
       let len = decode_len r.buf !off in
-      if r.used - !off - header_len < len then continue := false
+      if len > max_frame then begin
+        too_large := len;
+        continue := false
+      end
+      else if r.used - !off - header_len < len then continue := false
       else begin
         frames := Bytes.sub_string r.buf (!off + header_len) len :: !frames;
         off := !off + header_len + len
@@ -78,9 +95,17 @@ let completed_frames r =
     Bytes.blit r.buf !off r.buf 0 (r.used - !off);
     r.used <- r.used - !off
   end;
-  List.rev !frames
+  let frames = List.rev !frames in
+  if !too_large > 0 then
+    raise (Frame_too_large { length = !too_large; before = frames });
+  frames
 
 let drain r fd =
+  (* a rejected header stays at the front: reject it again, unread *)
+  if r.used >= header_len then begin
+    let len = decode_len r.buf 0 in
+    if len > max_frame then raise (Frame_too_large { length = len; before = [] })
+  end;
   ensure_capacity r 65536;
   match Unix.read fd r.buf r.used (Bytes.length r.buf - r.used) with
   | 0 -> `Eof (completed_frames r)

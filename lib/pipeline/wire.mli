@@ -12,10 +12,20 @@
     binaries — a version mismatch must be one decisive error, never a
     silent misparse. *)
 
+val max_frame : int
+(** The largest payload a frame may announce (64 MiB).  A peer chooses
+    the 32-bit length in a header, so a longer announcement is refused
+    before anything is allocated for it. *)
+
+exception Frame_too_large of { length : int; before : string list }
+(** A header announced [length] > {!max_frame} bytes.  [before] holds the
+    whole frames that preceded it in the same read, still to be handled;
+    nothing after the header is read. *)
+
 val read_frame : Unix.file_descr -> string option
 (** Blocking read of one whole frame; [None] on clean EOF at a frame
     boundary (and on a torn frame, which only happens if the peer died
-    mid-write). *)
+    mid-write).  @raise Frame_too_large *)
 
 type reader
 
@@ -25,7 +35,9 @@ val drain : reader -> Unix.file_descr ->
   [ `Frames of string list | `Eof of string list ]
 (** One [read(2)] on a descriptor select said is readable; returns every
     frame completed by those bytes (often none or several).  [`Eof] carries
-    the final complete frames; a trailing torn frame is discarded. *)
+    the final complete frames; a trailing torn frame is discarded.
+    @raise Frame_too_large on a header over {!max_frame}, and again on
+    every later call without reading: the reader is done. *)
 
 (** {1 Tagged frames} *)
 

@@ -46,7 +46,14 @@ type t
 
 val create : ?profile:Ndroid_android.Device_profile.t -> unit -> t
 (** Boot a device: fresh VM with framework + sources + sinks installed,
-    fresh machine with libc/libm/libdvm mounted. *)
+    fresh machine bound to {!system_image}.  Only the state of one
+    analysis is created here; the host functions are not. *)
+
+val system_image : t Machine.image
+(** Every device's host functions — libdvm's JNI functions and
+    internals, libc and libm — at fixed addresses, each handler taking
+    the device it runs on.  Built once, when this module is initialised,
+    and shared read-only by every device in every domain. *)
 
 (** {1 Components} *)
 

@@ -8,6 +8,8 @@ module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
 module Vm = Ndroid_dalvik.Vm
 module Dvalue = Ndroid_dalvik.Dvalue
+module Heap = Ndroid_dalvik.Heap
+module Indirect_ref = Ndroid_jni.Indirect_ref
 module Interp = Ndroid_dalvik.Interp
 module Taint = Ndroid_taint.Taint
 module Budget = Ndroid_budget.Budget
@@ -240,8 +242,14 @@ let fuzz_buf = 0x30000000
 let fuzz_long = 0x30010000
 let fuzz_long_len = 60_000
 
-let libc_names =
-  List.map fst (A.Libc_model.functions (Device.libc_ctx (Device.create ())))
+let libc_names = List.map fst A.Libc_model.functions
+
+(* Argument words that name objects of the device under test rather than
+   numbers, resolved per device: a Java string and a Java int array of
+   [fuzz_obj_len] elements, as indirect references. *)
+let fuzz_string_ref = -1
+let fuzz_array_ref = -2
+let fuzz_obj_len = 4096
 
 let fuzz_word =
   QCheck.Gen.(
@@ -249,36 +257,74 @@ let fuzz_word =
       [ return 0; int_range 1 64; return 0x7FFFFFFF; return 0xFFFFFFFF;
         return fuzz_buf; return fuzz_long ])
 
-let fuzz_call =
+let jni_word =
+  QCheck.Gen.(oneof [ fuzz_word; return fuzz_string_ref; return fuzz_array_ref ])
+
+let fuzz_call names word =
+  let print_word w =
+    if w = fuzz_string_ref then "string-ref"
+    else if w = fuzz_array_ref then "array-ref"
+    else Printf.sprintf "0x%x" w
+  in
   QCheck.make
     ~print:(fun (name, regs, stack) ->
-      let words ws = String.concat "," (List.map (Printf.sprintf "0x%x") ws) in
+      let words ws = String.concat "," (List.map print_word ws) in
       Printf.sprintf "%s(%s; stack %s)" name (words regs) (words stack))
-    QCheck.Gen.(
-      triple (oneofl libc_names) (list_repeat 4 fuzz_word)
-        (list_repeat 4 fuzz_word))
+    QCheck.Gen.(triple (oneofl names) (list_repeat 4 word) (list_repeat 4 word))
 
-let prop_host_call_charges =
-  QCheck.Test.make ~name:"libc: every host call pays for its work" ~count:600
-    fuzz_call
-    (fun (name, regs, stack) ->
+let host_call_charges ~name names word =
+  QCheck.Test.make ~name ~count:600 (fuzz_call names word)
+    (fun (fn, regs, stack) ->
       Budget.with_budget (Budget.create fuzz_budget) (fun () ->
           let device = Device.create () in
           let machine = Device.machine device in
           let mem = Machine.mem machine in
           Memory.write_cstring mem fuzz_buf "%s %d %x host %s";
           Memory.write_cstring mem fuzz_long (String.make fuzz_long_len 'a');
-          let addr = Machine.host_fn_addr machine name in
+          (* the objects are made, and paid for, only when a word names
+             them *)
+          let vm = Device.vm device in
+          let iref_of id = Indirect_ref.add (Device.irefs device) ~obj_id:id in
+          let string_ref =
+            lazy
+              (match Vm.new_string vm (String.make fuzz_obj_len 'b') with
+               | Dvalue.Obj id, _ -> iref_of id
+               | _ -> assert false)
+          in
+          let array_ref =
+            lazy (iref_of (Heap.alloc_array vm.Vm.heap "I" fuzz_obj_len).Heap.id)
+          in
+          let resolve w =
+            if w = fuzz_string_ref then Lazy.force string_ref
+            else if w = fuzz_array_ref then Lazy.force array_ref
+            else w
+          in
+          let args = List.map resolve regs
+          and stack_args = List.map resolve stack in
+          let addr = Machine.host_fn_addr machine fn in
           let before = Gc.allocated_bytes () in
-          (try
-             ignore
-               (Machine.call_native machine ~addr ~args:regs ~stack_args:stack ())
+          (try ignore (Machine.call_native machine ~addr ~args ~stack_args ())
            with _ -> ());
           let spent = Gc.allocated_bytes () -. before in
           if spent > float_of_int (fuzz_bytes_per_unit * fuzz_budget) then
             QCheck.Test.fail_reportf "%s allocated %.0f bytes on a %d-unit budget"
-              name spent fuzz_budget;
+              fn spent fuzz_budget;
           true))
+
+let prop_host_call_charges =
+  host_call_charges ~name:"libc: every host call pays for its work" libc_names
+    fuzz_word
+
+(* libdvm's JNI functions and internals, as the system image lists them *)
+let jni_names =
+  List.filter_map
+    (fun hf ->
+      if hf.Machine.hf_lib = "libdvm.so" then Some hf.Machine.hf_name else None)
+    (Machine.image_fns Device.system_image)
+
+let prop_jni_call_charges =
+  host_call_charges ~name:"jni: every host call pays for its work" jni_names
+    jni_word
 
 let suite =
   [ Alcotest.test_case "filesystem" `Quick test_filesystem;
@@ -297,4 +343,5 @@ let suite =
     Alcotest.test_case "libm" `Quick test_libm;
     Alcotest.test_case "Table VI/VII coverage" `Quick test_table_vi_vii_coverage;
     Alcotest.test_case "device profile" `Quick test_device_profile;
-    QCheck_alcotest.to_alcotest prop_host_call_charges ]
+    QCheck_alcotest.to_alcotest prop_host_call_charges;
+    QCheck_alcotest.to_alcotest prop_jni_call_charges ]

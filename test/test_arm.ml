@@ -318,6 +318,82 @@ let test_icache () =
   Alcotest.(check int) "hits" 1 (Ndroid_arm.Icache.hits c);
   Alcotest.(check int) "misses" 1 (Ndroid_arm.Icache.misses c)
 
+(* ---- decode-cache growth ---- *)
+
+module Icache = Ndroid_arm.Icache
+
+let arm_entry = (Insn.bx_lr, 4)
+let thumb_entry = (Insn.mov 0 (Insn.Imm 1), 2)
+
+let hit c addr mode = Icache.lookup c addr mode >= 0
+
+(* What the trace loop does per fetch: look up, and decode and store on a
+   miss. *)
+let fetch c addr mode entry =
+  if not (hit c addr mode) then Icache.store c addr mode entry
+
+(* Sixteen instructions 128 bytes apart share one slot of the initial
+   64-slot table.  A table that grew only once it filled would never
+   fill, and miss on every fetch; growing on the evicting store costs no
+   miss beyond the first fetch of each instruction. *)
+let test_icache_colliding_loop () =
+  let c = Icache.create () in
+  let initial = Icache.slots c in
+  let addrs = List.init 16 (fun i -> 0x8000 + (128 * i)) in
+  let rounds = 100 in
+  for _ = 1 to rounds do
+    List.iter (fun a -> fetch c a Cpu.Arm arm_entry) addrs
+  done;
+  let distinct = List.length addrs in
+  Alcotest.(check bool) "grew" true (Icache.slots c > initial);
+  Alcotest.(check bool) "not past what separates them" true
+    (Icache.slots c <= 1024);
+  Alcotest.(check bool) "misses bounded by twice the distinct instructions"
+    true
+    (Icache.misses c <= 2 * distinct);
+  Alcotest.(check int) "the full-size hit count" ((rounds - 1) * distinct)
+    (Icache.hits c)
+
+let test_icache_growth_keeps_invalidation () =
+  let c = Icache.create () in
+  let a = 0x8000 in
+  Icache.store c a Cpu.Arm arm_entry;
+  let before = Icache.slots c in
+  (* evicting [a] grows the table and re-inserts it *)
+  Icache.store c (a + (2 * before)) Cpu.Arm arm_entry;
+  Alcotest.(check bool) "grew" true (Icache.slots c > before);
+  Alcotest.(check bool) "re-inserted" true (hit c a Cpu.Arm);
+  Icache.invalidate c (a + 2) 1;
+  Alcotest.(check bool) "dropped by a write into its bytes" false
+    (hit c a Cpu.Arm);
+  Alcotest.(check bool) "its neighbour stays" true
+    (hit c (a + (2 * before)) Cpu.Arm)
+
+let test_icache_growth_keeps_modes () =
+  let c = Icache.create () in
+  let a = 0x8000 in
+  (* an ARM word and a Thumb halfword over its upper two bytes *)
+  Icache.store c a Cpu.Arm arm_entry;
+  Icache.store c (a + 2) Cpu.Thumb thumb_entry;
+  let before = Icache.slots c in
+  Icache.store c (a + (2 * before)) Cpu.Arm arm_entry;
+  Alcotest.(check bool) "grew" true (Icache.slots c > before);
+  (* entries are told apart by their sizes: 4 for ARM, 2 for Thumb *)
+  let size addr mode = Option.map snd (Icache.find c addr mode) in
+  let check = Alcotest.(check (option int)) in
+  check "ARM entry" (Some 4) (size a Cpu.Arm);
+  check "Thumb entry" (Some 2) (size (a + 2) Cpu.Thumb);
+  check "no Thumb entry at the ARM address" None (size a Cpu.Thumb);
+  check "no ARM entry at the Thumb address" None (size (a + 2) Cpu.Arm);
+  (* the same bytes in the other mode share a slot: a replacement, never
+     a reason to grow *)
+  let grown = Icache.slots c in
+  Icache.store c a Cpu.Thumb thumb_entry;
+  Alcotest.(check int) "same bytes, other mode: no growth" grown
+    (Icache.slots c);
+  check "Thumb replaced ARM" (Some 2) (size a Cpu.Thumb);
+  check "ARM gone" None (size a Cpu.Arm)
+
 let suite =
   [ Alcotest.test_case "dp roundtrip" `Quick test_dp_roundtrip;
     Alcotest.test_case "conditional roundtrip" `Quick test_conditional_roundtrip;
@@ -337,4 +413,10 @@ let suite =
       test_exec_thumb_interworking;
     Alcotest.test_case "memory primitives" `Quick test_memory_primitives;
     Alcotest.test_case "icache" `Quick test_icache;
-    QCheck_alcotest.to_alcotest prop_dp_roundtrip ]
+    QCheck_alcotest.to_alcotest prop_dp_roundtrip;
+    Alcotest.test_case "icache: a colliding loop grows to full-size hits"
+      `Quick test_icache_colliding_loop;
+    Alcotest.test_case "icache: growth keeps code-write invalidation" `Quick
+      test_icache_growth_keeps_invalidation;
+    Alcotest.test_case "icache: ARM and Thumb entries survive growth" `Quick
+      test_icache_growth_keeps_modes ]

@@ -10,26 +10,34 @@ module Asm = Ndroid_arm.Asm
 module Insn = Ndroid_arm.Insn
 module Cpu = Ndroid_arm.Cpu
 
-let test_host_fn_dispatch () =
+(* A machine whose host functions are a small image of their own, bound
+   with the machine itself as their context. *)
+let machine_with hosts =
   let m = Machine.create () in
   Machine.set_host_fn_work m 0;
+  Machine.bind m (Machine.image hosts) m;
+  m
+
+let test_host_fn_dispatch () =
   let called = ref 0 in
-  ignore
-    (Machine.mount_host_fn m ~lib:"libc.so" ~name:"answer" ~addr:0x40100100
-       (fun cpu _mem ->
-         incr called;
-         Cpu.set_reg cpu 0 42));
+  let m =
+    machine_with
+      [ Machine.host ~lib:"libc.so" ~name:"answer" ~addr:0x40100100
+          (fun _ cpu _mem ->
+            incr called;
+            Cpu.set_reg cpu 0 42) ]
+  in
   let r0, _ = Machine.call_native m ~addr:0x40100100 ~args:[ 1; 2 ] () in
   Alcotest.(check int) "result" 42 r0;
   Alcotest.(check int) "called once" 1 !called;
   Alcotest.(check int) "addr lookup" 0x40100100 (Machine.host_fn_addr m "answer")
 
 let test_guest_calls_host () =
-  let m = Machine.create () in
-  Machine.set_host_fn_work m 0;
-  ignore
-    (Machine.mount_host_fn m ~lib:"libc.so" ~name:"add10" ~addr:0x40100100
-       (fun cpu _ -> Cpu.set_reg cpu 0 (Cpu.reg cpu 0 + 10)));
+  let m =
+    machine_with
+      [ Machine.host ~lib:"libc.so" ~name:"add10" ~addr:0x40100100
+          (fun _ cpu _ -> Cpu.set_reg cpu 0 (Cpu.reg cpu 0 + 10)) ]
+  in
   let prog =
     Asm.assemble
       ~extern:(fun _ -> Some 0x40100100)
@@ -46,11 +54,11 @@ let test_guest_calls_host () =
   Alcotest.(check int) "5 + 10 + 10" 25 r0
 
 let test_events_sequence () =
-  let m = Machine.create () in
-  Machine.set_host_fn_work m 0;
-  ignore
-    (Machine.mount_host_fn m ~lib:"libc.so" ~name:"noop" ~addr:0x40100100
-       (fun _ _ -> ()));
+  let m =
+    machine_with
+      [ Machine.host ~lib:"libc.so" ~name:"noop" ~addr:0x40100100
+          (fun _ _ _ -> ()) ]
+  in
   let prog =
     Asm.assemble
       ~extern:(fun _ -> Some 0x40100100)
@@ -89,22 +97,22 @@ let test_runaway_guard () =
 
 let test_nested_call_native () =
   (* a host function that itself calls back into guest code *)
-  let m = Machine.create () in
-  Machine.set_host_fn_work m 0;
   let prog =
     Asm.assemble ~base:Layout.app_lib_base
       [ Asm.Label "triple";
         Asm.I (Insn.add 0 0 (Insn.Reg_shift_imm (0, Insn.LSL, 1)));
         Asm.I Insn.bx_lr ]
   in
-  ignore
-    (Machine.mount_host_fn m ~lib:"libdvm.so" ~name:"callback" ~addr:0x40000100
-       (fun cpu _ ->
-         let r0, _ =
-           Machine.call_native m ~addr:(Asm.fn_addr prog "triple")
-             ~args:[ Cpu.reg cpu 0 + 1 ] ()
-         in
-         Cpu.set_reg cpu 0 r0));
+  let m =
+    machine_with
+      [ Machine.host ~lib:"libdvm.so" ~name:"callback" ~addr:0x40000100
+          (fun m cpu _ ->
+            let r0, _ =
+              Machine.call_native m ~addr:(Asm.fn_addr prog "triple")
+                ~args:[ Cpu.reg cpu 0 + 1 ] ()
+            in
+            Cpu.set_reg cpu 0 r0) ]
+  in
   Machine.load_program m prog;
   let outer =
     Asm.assemble

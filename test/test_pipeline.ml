@@ -197,6 +197,43 @@ let test_wire_incremental () =
   Unix.close r;
   Alcotest.(check (list string)) "reassembled" [ "abcde" ] !got
 
+(* a header announcing just under 4 GiB, and no payload *)
+let oversized_header () =
+  let h = Bytes.create 4 in
+  Bytes.set_int32_be h 0 (Int32.of_int 0xFFFFFFF0);
+  h
+
+let test_wire_oversized () =
+  let r, w = Unix.pipe () in
+  let write b = ignore (Unix.write w b 0 (Bytes.length b)) in
+  write (oversized_header ());
+  (match Wire.read_frame r with
+   | exception Wire.Frame_too_large { length; before = [] } ->
+     Alcotest.(check int) "announced length" 0xFFFFFFF0 length
+   | _ -> Alcotest.fail "blocking read accepted a 4 GiB header");
+  (* incremental: a whole frame, then the header *)
+  write (Bytes.of_string (frame "ok"));
+  write (oversized_header ());
+  let reader = Wire.create_reader () in
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  (match Wire.drain reader r with
+   | exception Wire.Frame_too_large { before; _ } ->
+     Alcotest.(check (list string)) "the frame before it" [ "ok" ] before
+   | _ -> Alcotest.fail "drain accepted a 4 GiB header");
+  write (Bytes.of_string "rest");
+  (match Wire.drain reader r with
+   | exception Wire.Frame_too_large { before = []; _ } -> ()
+   | _ -> Alcotest.fail "a rejected reader read on");
+  Gc.minor ();
+  Alcotest.(check bool) "nothing allocated toward the announced length" true
+    (Gc.allocated_bytes () -. a0 < 1_048_576.);
+  Unix.close w;
+  let rest = Bytes.create 16 in
+  Alcotest.(check int) "the bytes after it stay unread" 4
+    (Unix.read r rest 0 16);
+  Unix.close r
+
 (* ---- shard queue ---- *)
 
 let test_shard_queue () =
@@ -429,4 +466,6 @@ let suite =
     Alcotest.test_case "budget: a charge pays up front or not at all" `Quick
       test_budget_charges_up_front;
     Alcotest.test_case "budget: bundled apps leave three orders of headroom"
-      `Quick test_budget_headroom ]
+      `Quick test_budget_headroom;
+    Alcotest.test_case "wire: a header over the frame limit is refused unread"
+      `Quick test_wire_oversized ]

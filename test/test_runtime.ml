@@ -1,6 +1,7 @@
 (* The device runtime: JNI bridge in both directions. *)
 
 module Device = Ndroid_runtime.Device
+module Harness = Ndroid_apps.Harness
 module Machine = Ndroid_emulator.Machine
 module Layout = Ndroid_emulator.Layout
 module Vm = Ndroid_dalvik.Vm
@@ -338,6 +339,24 @@ let test_gc_during_native_flow () =
   Alcotest.(check string) "string survives two GCs" "survivor"
     (Vm.string_of_value (Device.vm device) v)
 
+(* ---- boot cost ---- *)
+
+(* Booting a device allocates the same words every time, so its cost is
+   pinned ([Harness.boot_bytes_bound]).  Host functions belong in the
+   shared system image, not in each device.  A boot that allocates
+   straight on the major heap would cost a major collection every few
+   boots. *)
+let test_boot_allocation () =
+  let bytes, _ = Harness.boot_cost () in
+  if bytes > Harness.boot_bytes_bound then
+    Alcotest.failf "Device.create allocated %.0f bytes (limit %.0f)" bytes
+      Harness.boot_bytes_bound
+
+let test_boot_no_major_allocation () =
+  let _, words = Harness.boot_cost () in
+  Alcotest.(check (float 0.)) "words allocated directly on the major heap" 0.
+    words
+
 let suite =
   [ Alcotest.test_case "native int args" `Quick test_native_int_args;
     Alcotest.test_case "native stack args" `Quick test_native_stack_args;
@@ -353,4 +372,8 @@ let suite =
     Alcotest.test_case "UnsatisfiedLinkError" `Quick test_unsatisfied_link_error;
     Alcotest.test_case "default return policy is clear" `Quick
       test_default_return_policy_clear;
-    Alcotest.test_case "GC during native flow" `Quick test_gc_during_native_flow ]
+    Alcotest.test_case "GC during native flow" `Quick test_gc_during_native_flow;
+    Alcotest.test_case "boot: Device.create allocation is bounded" `Quick
+      test_boot_allocation;
+    Alcotest.test_case "boot: Device.create allocates nothing on the major heap"
+      `Quick test_boot_no_major_allocation ]

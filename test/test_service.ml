@@ -491,6 +491,33 @@ let test_pool_stats_shed_zero () =
   let _, stats = Pool.run (Pool.config ~jobs:2 ()) (slice 24) in
   Alcotest.(check int) "batch sweeps never shed" 0 stats.Pool.s_shed
 
+let test_daemon_oversized_frame () =
+  (* one client announces a 4 GiB frame; the other's verdicts must not
+     notice *)
+  let tasks = slice 8 in
+  let n = List.length tasks in
+  let expected = json_of (Pool.run_inline tasks) in
+  with_daemon ~jobs:1 (fun socket ->
+      let good = connect socket in
+      let bad = connect socket in
+      let header = Bytes.create 4 in
+      Bytes.set_int32_be header 0 (Int32.of_int 0xFFFFFFF0);
+      ignore (Unix.write (Proto.Client.fd bad) header 0 4);
+      List.iter (submit good) tasks;
+      (match Proto.Client.recv bad with
+       | Ok (Proto.Error e) ->
+         Alcotest.(check bool) "names the limit" true
+           (Str.string_match (Str.regexp ".*exceeds") e 0)
+       | _ -> Alcotest.fail "no error for an oversized frame");
+      (match Proto.Client.recv bad with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.fail "a second answer instead of a close");
+      let got = reports_in_req_order (collect good n) n in
+      Alcotest.(check string) "verdicts bit-identical to batch" expected
+        (json_of (Array.map fst got));
+      Proto.Client.close bad;
+      Proto.Client.close good)
+
 let suite =
   [ Alcotest.test_case "proto: messages roundtrip the wire" `Quick
       test_proto_roundtrip;
@@ -523,4 +550,6 @@ let suite =
     Alcotest.test_case "pool: batch stats report zero shed" `Quick
       test_pool_stats_shed_zero;
     Alcotest.test_case "proto: a kill fault is refused" `Quick
-      test_proto_refuses_kill ]
+      test_proto_refuses_kill;
+    Alcotest.test_case "daemon: an oversized frame closes only its client"
+      `Quick test_daemon_oversized_frame ]

@@ -104,8 +104,10 @@ module Layout = Ndroid_emulator.Layout
 let test_trace_records_in_order () =
   let m = Machine.create () in
   Machine.set_host_fn_work m 0;
-  ignore (Machine.mount_host_fn m ~lib:"libc.so" ~name:"nop" ~addr:0x40100100
-            (fun _ _ -> ()));
+  Machine.bind m
+    (Machine.image
+       [ Machine.host ~lib:"libc.so" ~name:"nop" ~addr:0x40100100 (fun () _ _ -> ()) ])
+    ();
   let prog =
     Asm.assemble ~extern:(fun _ -> Some 0x40100100) ~base:Layout.app_lib_base
       [ Asm.I (Insn.mov 0 (Insn.Imm 1));
