@@ -44,10 +44,18 @@ let fail msg =
   exit 1
 
 (* Every bench writes its record before it checks a bound, so a failing
-   run still leaves the numbers that explain the failure. *)
-let write_bench file doc =
+   run still leaves the numbers that explain the failure.  The record is
+   [fields] plus the machine it ran on: timings from two machines are not
+   comparable. *)
+let write_bench file fields =
+  let machine =
+    Rj.Obj
+      [ ("nproc", Rj.Int (Domain.recommended_domain_count ()));
+        ("ocaml", Rj.Str Sys.ocaml_version) ]
+  in
   let oc = open_out file in
-  output_string oc (Rj.to_string_hum doc);
+  output_string oc
+    (Rj.to_string_hum (Rj.Obj (fields @ [ ("machine", machine) ])));
   close_out oc;
   Printf.printf "wrote %s\n" file
 
@@ -699,7 +707,6 @@ let perf () =
     (boot.t_median *. 1e6) (boot.t_min *. 1e6) (boot.t_max *. 1e6) boot_bytes
     boot_major;
   write_bench "BENCH_native.json"
-    (Rj.Obj
        [ ("experiment", Rj.Str "perf");
          ("iterations_per_run", Rj.Int perf_iterations);
          ("workloads",
@@ -724,7 +731,7 @@ let perf () =
               ("seconds_min", Rj.Float boot.t_min);
               ("seconds_max", Rj.Float boot.t_max);
               ("allocated_bytes", Rj.Float boot_bytes);
-              ("direct_major_words", Rj.Float boot_major) ]) ]);
+              ("direct_major_words", Rj.Float boot_major) ]) ];
   if boot_bytes > H.boot_bytes_bound then
     fail
       (Printf.sprintf "Device.create allocated %.0f bytes (bound %.0f)"
@@ -743,7 +750,7 @@ module Apk = Ndroid_corpus.Apk
 
 let static_registry () = Ndroid_apps.Registry.all
 
-(* Workers for the sharded sweeps; set with `--jobs N`. *)
+(* Workers for the pool sweeps; set with `--jobs N`. *)
 let jobs_flag = ref 4
 
 module Task = Ndroid_pipeline.Task
@@ -934,7 +941,6 @@ let static () =
   Printf.printf "focused methods: %d | skipped bytecodes: %d\n" focused_methods
     skipped_bytecodes;
   write_bench "BENCH_static.json"
-    (Rj.Obj
        [ ("experiment", Rj.Str "static");
          ("apps",
           Rj.List
@@ -977,7 +983,7 @@ let static () =
               ("bundled_detections", Rj.Int bundled_detected);
               ("bundled_expected", Rj.Int bundled_expected);
               ("focused_methods", Rj.Int focused_methods);
-              ("skipped_bytecodes", Rj.Int skipped_bytecodes) ]) ]);
+              ("skipped_bytecodes", Rj.Int skipped_bytecodes) ]) ];
   if false_negs <> [] then begin
     List.iter
       (fun ((app : H.app), _, _, v) ->
@@ -1030,7 +1036,7 @@ let static () =
 
 (* --------------------------------------------------------- PIPELINE -- *)
 
-(* The sharded sweep's value on a market corpus is not CPU parallelism (a
+(* The pooled sweep's value on a market corpus is not CPU parallelism (a
    single app analyzes in microseconds) but containment: an app that never
    finishes spends its work budget and records a timeout, an app that
    crashes its analyzer records a crash, and neither costs another app its
@@ -1047,7 +1053,7 @@ let rm_rf_dir dir =
 
 let pipeline () =
   section
-    "PIPELINE: sharded market sweep - budget timeouts, crash containment, \
+    "PIPELINE: pooled market sweep - budget timeouts, crash containment, \
      caching";
   let slice = 1200 in
   let jobs_n = max 2 !jobs_flag in
@@ -1085,9 +1091,8 @@ let pipeline () =
   let fault_sweep ~jobs =
     let r, s = run ~jobs faulted_tasks in
     Printf.printf
-      "--jobs %d: %6.2fs wall  (%d timeouts, %d crashed, %d lost, %d steals)\n%!"
-      jobs s.Pool.s_wall s.Pool.s_timeouts s.Pool.s_crashed (lost r)
-      s.Pool.s_steals;
+      "--jobs %d: %6.2fs wall  (%d timeouts, %d crashed, %d lost)\n%!"
+      jobs s.Pool.s_wall s.Pool.s_timeouts s.Pool.s_crashed (lost r);
     (r, s)
   in
   let r1, s1 = fault_sweep ~jobs:1 in
@@ -1444,7 +1449,6 @@ let pipeline () =
         ("cache_hits", Rj.Int s.Pool.s_cache_hits);
         ("crashed", Rj.Int s.Pool.s_crashed);
         ("timeouts", Rj.Int s.Pool.s_timeouts);
-        ("steals", Rj.Int s.Pool.s_steals);
         ("shed", Rj.Int s.Pool.s_shed);
         ("evictions", Rj.Int s.Pool.s_evictions);
         ("cache_pass_seconds", Rj.Float s.Pool.s_cache_pass);
@@ -1461,7 +1465,6 @@ let pipeline () =
         ("metrics", s.Pool.s_metrics) ]
   in
   let doc =
-    Rj.Obj
       [ ("experiment", Rj.Str "pipeline");
         ("slice", Rj.Int slice);
         ("jobs", Rj.Int jobs_n);
@@ -1887,7 +1890,6 @@ let dalvik () =
         ("crossings_per_sec", Rj.Float (float_of_int crossings /. dt)) ]
   in
   let doc =
-    Rj.Obj
       [ ("experiment", Rj.Str "dalvik");
         ("java_heavy_iterations", Rj.Int dk_iterations);
         ("jni_iterations", Rj.Int dk_jni_iterations);

@@ -736,14 +736,14 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Analyze apps through the unified pipeline: static supergraph, \
-             dynamic NDroid run, or both, optionally sharded over worker \
+             dynamic NDroid run, or both, optionally spread over worker \
              domains.  Every analysis is bounded by a fixed work budget: \
              an app that spends it records a timeout verdict.  Exits 3 if \
              any app is flagged.")
     Term.(const cmd_analyze $ Cli_args.apps_pos $ Cli_args.mode_flags
           $ Cli_args.json_flag
           $ Cli_args.jobs_arg ~default:1
-              ~doc:"Shard the corpus across $(docv) analysis worker \
+              ~doc:"Spread the corpus across $(docv) analysis worker \
                     domains."
           $ Cli_args.cache_arg $ Cli_args.market_arg $ trace_arg)
 

@@ -12,18 +12,19 @@ type completion = {
   dc_lost : int;
 }
 
+(* ticket, task, cancel flag, streaming throttle window (if tapped) *)
+type job = int * Task.t * bool Atomic.t option * int option
+
 type t = {
   dp_service : Analysis.service;
   dp_lock : Mutex.t;
   dp_work : Condition.t;  (* signaled on submit and shutdown *)
   dp_done : Condition.t;  (* signaled on every completion *)
-  dp_queue : (int * Task.t * bool Atomic.t option) Shard_queue.t;
-  mutable dp_next_shard : int;  (* round-robin deal over worker shards *)
+  dp_queue : job Queue.t;  (* one FIFO for every worker *)
   mutable dp_uncollected : int;  (* completions since the last take *)
   mutable dp_completed : completion list;  (* newest first *)
   mutable dp_inflight : int;  (* submitted, not yet in dp_completed *)
   mutable dp_stop : bool;
-  mutable dp_trace : int option;  (* streaming throttle window, if tapped *)
   dp_notify_r : Unix.file_descr;
   dp_notify_w : Unix.file_descr;
   dp_metrics : Metrics.t option array;  (* one registry per worker *)
@@ -53,7 +54,7 @@ let drain_notify t =
    returns by reference through shared memory.  Fault markers, budgets and
    cancels all act inside {!Analysis.service_run}, so a worker domain
    never dies with its task. *)
-let worker_loop t shard =
+let worker_loop t slot =
   (* one obs ring and one metrics registry for the worker's whole life:
      per-task registries would make the collector merge thousands of
      tables while the workers still compute, and the ring keeps the cells
@@ -61,7 +62,7 @@ let worker_loop t shard =
   let ring = Ring.create ~capacity:4096 () in
   let m = Ring.metrics ring in
   Mutex.lock t.dp_lock;
-  t.dp_metrics.(shard) <- Some m;
+  t.dp_metrics.(slot) <- Some m;
   Mutex.unlock t.dp_lock;
   let rec next () =
     Mutex.lock t.dp_lock;
@@ -71,20 +72,17 @@ let worker_loop t shard =
         None
       end
       else
-        match Shard_queue.pop t.dp_queue ~shard with
-        | Some job ->
-          (* the streaming window travels with the claim, read under the
-             lock: a task keeps the setting it started with *)
-          let trace = t.dp_trace in
+        match Queue.take_opt t.dp_queue with
+        | Some _ as job ->
           Mutex.unlock t.dp_lock;
-          Some (job, trace)
+          job
         | None ->
           Condition.wait t.dp_work t.dp_lock;
           claim ()
     in
     match claim () with
     | None -> ()
-    | Some ((ticket, task, cancel), trace) ->
+    | Some (ticket, task, cancel, trace) ->
       (* the ring outlives the task (see above) but its event window must
          not: provenance reconstruction reads the live window, and stale
          events would graft one app's trace onto the next app's flows *)
@@ -159,13 +157,11 @@ let create ?(domains = 1) ~service () =
       (* unbounded: callers bound their own load — a batch is a list
          already in memory, and the daemon hands over one task per free
          worker slot, holding the rest behind its own admission bound *)
-      dp_queue = Shard_queue.create_empty ~shards:domains ~capacity:max_int ();
-      dp_next_shard = 0;
+      dp_queue = Queue.create ();
       dp_uncollected = 0;
       dp_completed = [];
       dp_inflight = 0;
       dp_stop = false;
-      dp_trace = None;
       dp_notify_r = notify_r;
       dp_notify_w = notify_w;
       dp_metrics = Array.make domains None;
@@ -178,23 +174,13 @@ let create ?(domains = 1) ~service () =
 let domains t = Array.length t.dp_workers
 let notify_fd t = t.dp_notify_r
 
-let set_trace t window =
-  Mutex.lock t.dp_lock;
-  t.dp_trace <- window;
-  Mutex.unlock t.dp_lock
-
-let submit t ~ticket ?cancel task =
+let submit t ~ticket ?cancel ?trace task =
   Mutex.lock t.dp_lock;
   if t.dp_stop then begin
     Mutex.unlock t.dp_lock;
     invalid_arg "Domain_pool.submit: pool is shut down"
   end;
-  let shard = t.dp_next_shard in
-  t.dp_next_shard <- (shard + 1) mod Array.length t.dp_workers;
-  if not (Shard_queue.push t.dp_queue ~shard (ticket, task, cancel)) then begin
-    Mutex.unlock t.dp_lock;
-    invalid_arg "Domain_pool.submit: queue is full"
-  end;
+  Queue.push (ticket, task, cancel, trace) t.dp_queue;
   t.dp_inflight <- t.dp_inflight + 1;
   Condition.signal t.dp_work;
   Mutex.unlock t.dp_lock
@@ -221,12 +207,6 @@ let wait t =
   Mutex.unlock t.dp_lock;
   drain_notify t;
   cs
-
-let steals t =
-  Mutex.lock t.dp_lock;
-  let n = Shard_queue.steals t.dp_queue in
-  Mutex.unlock t.dp_lock;
-  n
 
 let metrics t =
   Mutex.lock t.dp_lock;

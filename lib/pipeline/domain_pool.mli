@@ -1,6 +1,5 @@
-(** The worker engine: a fixed set of OCaml 5 domains pulling tasks from
-    a mutex-protected {!Shard_queue} (one shard per domain, cross-shard
-    stealing preserved) and handing {!Ndroid_report.Verdict.report}
+(** The worker engine: a fixed set of OCaml 5 domains pulling jobs from
+    one mutex-protected FIFO and handing {!Ndroid_report.Verdict.report}
     values back through shared memory — no fork, no serialization, no
     parent-side reassembly.  All domains share the one {!Analysis.service}
     (its own mutex makes that safe), so the warm layer deduplicates across
@@ -17,8 +16,8 @@ type completion = {
   dc_report : Ndroid_report.Verdict.report;
   dc_seconds : float;  (** analysis wall time inside the domain *)
   dc_events : Ndroid_obs.Stream.event list;
-      (** the task's throttled event stream — empty unless {!set_trace}
-          armed a tap before the task was claimed *)
+      (** the task's throttled event stream — empty unless it was
+          submitted with a [trace] window *)
   dc_dropped : int;  (** throttle-suppressed events for this task *)
   dc_lost : int;  (** events lost to ring wraparound for this task *)
 }
@@ -30,13 +29,18 @@ val create : ?domains:int -> service:Analysis.service -> unit -> t
     synchronization instead of adding throughput.  {!domains} reports the
     actual count. *)
 
-val submit : t -> ticket:int -> ?cancel:bool Atomic.t -> Task.t -> unit
-(** Enqueue one task; returns immediately.  The queue has no bound of
-    its own: a batch is already in memory, and the daemon submits one
-    task per free worker.  Tickets are the caller's correlation ids and
-    need not be dense.  Setting [cancel] stops the task's analysis with a
-    [Timeout] (see {!Analysis.service_run}).  Raises [Invalid_argument]
-    after {!shutdown}. *)
+val submit :
+  t -> ticket:int -> ?cancel:bool Atomic.t -> ?trace:int -> Task.t -> unit
+(** Enqueue one job at the back of the FIFO; returns immediately.  The
+    queue has no bound of its own: a batch is already in memory, and the
+    daemon submits one task per free worker.  Tickets are the caller's
+    correlation ids and need not be dense.  Setting [cancel] stops the
+    task's analysis with a [Timeout] (see {!Analysis.service_run}).
+    [trace] (a window in event-seq units) streams the task's events: its
+    ring drains through a fresh {!Ndroid_obs.Stream.tap} and the
+    surviving events return on its completion.  Cancel flag and window
+    belong to this job alone.  Raises [Invalid_argument] after
+    {!shutdown}. *)
 
 val wait : t -> completion list
 (** Block until a completion batch is ready (or nothing is in flight),
@@ -52,16 +56,7 @@ val drain : t -> completion list
 val notify_fd : t -> Unix.file_descr
 (** Readable whenever completions may be pending; {!drain} empties it. *)
 
-val set_trace : t -> int option -> unit
-(** Arm ([Some window], in event-seq units) or disarm ([None]) live
-    streaming: each subsequently-claimed task drains its ring through a
-    fresh per-task {!Ndroid_obs.Stream.tap} and returns the surviving
-    events on its completion.  Tasks already mid-analysis keep the
-    setting they started with. *)
-
 val domains : t -> int
-val steals : t -> int
-(** Cross-shard steals performed by idle domains. *)
 
 val metrics : t -> Ndroid_obs.Metrics.t list
 (** One obs registry per worker domain, accumulated over its lifetime

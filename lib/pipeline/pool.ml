@@ -79,7 +79,6 @@ let run cfg tasks =
   let from_workers = ref 0 in
   let crashed = ref 0 in
   let timeouts = ref 0 in
-  let steals = ref 0 in
   let analyze_cpu = ref 0.0 in
   let digest_time = ref 0.0 in
   (* sweep-wide metrics: parent-side counters plus every worker registry *)
@@ -151,7 +150,6 @@ let run cfg tasks =
     (* everything is resolved, so the workers are idle: their lifetime
        registries are stable and merge once per worker *)
     List.iter (Metrics.merge metrics) (Domain_pool.metrics pool);
-    steals := Domain_pool.steals pool;
     mcount "domains" (Domain_pool.domains pool);
     Domain_pool.shutdown pool
   end;
@@ -160,7 +158,6 @@ let run cfg tasks =
     counters_of_reports results
   in
   let evictions = Analysis.service_evictions service in
-  mcount "steals" !steals;
   mcount "evictions" evictions;
   mcount "phase_cache_us" (int_of_float (cache_pass *. 1e6));
   mcount "phase_digest_us" (int_of_float (!digest_time *. 1e6));
@@ -171,7 +168,7 @@ let run cfg tasks =
       s_cache_hits = cache_hits;
       s_crashed = !crashed;
       s_timeouts = !timeouts;
-      s_steals = !steals;
+      s_steals = 0;
       s_shed = 0;
       s_evictions = evictions;
       s_wall = now () -. t_start;

@@ -1,4 +1,4 @@
-(** The sharded worker pool: run the corpus through the domain engine
+(** The worker pool: run the corpus through the domain engine
     ({!Domain_pool}) and collect one {!Ndroid_report.Verdict.report} per
     task.
 
@@ -12,8 +12,8 @@
       [--jobs] values and across runs.
 
     Tasks and verdicts move through shared memory, and all workers share
-    one {!Analysis.service} warm layer.  Work is dealt over one
-    {!Shard_queue} shard per worker with stealing, and an optional
+    one {!Analysis.service} warm layer.  Workers take tasks from one
+    shared FIFO, and an optional
     {!Cache} answers unchanged apps without dispatching them at all.
     Timing lives in the aggregate {!stats}, per phase. *)
 
@@ -36,7 +36,10 @@ type stats = {
   s_cache_hits : int;
   s_crashed : int;  (** [Crashed] verdicts the workers returned *)
   s_timeouts : int;  (** [Timeout] verdicts the workers returned *)
-  s_steals : int;  (** cross-shard steals in the work queue *)
+  s_steals : int;
+      (** Always [0]: the workers share one FIFO, so there is nothing to
+          steal.  Kept only because the frozen benchmark
+          ([perfbench/w_market.ml]) reads it. *)
   s_shed : int;
       (** requests refused by admission control.  Always [0] in a batch
           sweep — the batch queue is sized to the corpus — but the field
@@ -76,7 +79,7 @@ type stats = {
       (** the sweep-wide observability registry
           ({!Ndroid_obs.Metrics.to_json} shape): every worker's registry
           merged with the parent's own counters (cache hits/misses,
-          steals, evictions, per-phase timings) and histograms
+          evictions, per-phase timings) and histograms
           ([task_seconds] covers clean, crashed {e and} timed-out apps) *)
 }
 

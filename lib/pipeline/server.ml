@@ -447,12 +447,10 @@ let serve cfg =
             | None, None -> infinity
           in
           let cancel = Atomic.make false in
-          (* arm (or disarm) the pool's tap before the task can be
-             claimed; the window travels with the claim *)
-          Domain_pool.set_trace pool (worker_window entry);
           running.(ticket) <-
             Some { r_entry = entry; r_cancel = cancel; r_deadline = deadline };
-          Domain_pool.submit pool ~ticket ~cancel entry.e_task;
+          Domain_pool.submit pool ~ticket ~cancel
+            ?trace:(worker_window entry) entry.e_task;
           go ())
     in
     go ()

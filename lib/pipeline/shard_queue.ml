@@ -9,20 +9,16 @@ type 'a t = {
   shards : 'a shard array;
   capacity : int;
   mutable size : int;
-  mutable stolen : int;
   mutable cursor : int;  (* round-robin scan start for {!pop_rr} *)
 }
 
-let default_capacity = 1_000_000
-
-let create_empty ~shards ?(capacity = default_capacity) () =
+let create_empty ~shards ~capacity () =
   if shards < 1 then
     invalid_arg "Shard_queue.create_empty: shards must be >= 1";
   { shards = Array.init shards (fun _ -> { front = []; back = []; len = 0 });
-    capacity; size = 0; stolen = 0; cursor = 0 }
+    capacity; size = 0; cursor = 0 }
 
 let remaining t = t.size
-let steals t = t.stolen
 let shard_depth t ~shard = t.shards.(shard mod Array.length t.shards).len
 
 let push t ~shard item =
@@ -48,53 +44,6 @@ let take_front s =
     s.front <- rest;
     s.len <- s.len - 1;
     Some x
-
-let fullest_other t ~shard =
-  let best = ref (-1) and best_len = ref 0 in
-  Array.iteri
-    (fun i s ->
-      if i <> shard && s.len > !best_len then begin
-        best := i;
-        best_len := s.len
-      end)
-    t.shards;
-  if !best >= 0 then Some (!best, !best_len) else None
-
-let split_at n l =
-  let rec go acc k = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (x :: acc) (k - 1) rest
-  in
-  go [] n l
-
-let pop t ~shard =
-  if t.size = 0 then None
-  else begin
-    let shard = shard mod Array.length t.shards in
-    let own = t.shards.(shard) in
-    if own.len = 0 then begin
-      (* steal the back half of the fullest foreign shard *)
-      match fullest_other t ~shard with
-      | None -> ()
-      | Some (victim, len) ->
-        let v = t.shards.(victim) in
-        let keep = len / 2 in
-        let kept, stolen = split_at keep (v.front @ List.rev v.back) in
-        v.front <- kept;
-        v.back <- [];
-        v.len <- keep;
-        own.front <- stolen;
-        own.back <- [];
-        own.len <- len - keep;
-        t.stolen <- t.stolen + 1
-    end;
-    if own.len = 0 then None
-    else begin
-      t.size <- t.size - 1;
-      take_front own
-    end
-  end
 
 let pop_rr t =
   if t.size = 0 then None

@@ -1,25 +1,15 @@
-(** The pipeline's bounded, sharded work queue — two consumption
-    disciplines over one structure.
-
-    {b Workers ({!Domain_pool})}: tasks are dealt round-robin across one
-    shard per worker as they are submitted, with no capacity bound; a worker pops from the front
-    of its own shard ({!pop}) and, when that runs dry, steals the back
-    half of the fullest other shard.  Stealing keeps the sweep busy when per-app cost
-    is wildly uneven, while the shard-local common case preserves the
-    id-ordered scan that makes cache walks and progress output
-    predictable.
-
-    {b Service (the daemon)}: one shard per client slot; admission {!push}es onto the
-    submitting client's shard (refused at capacity — the caller sheds),
-    and the dispatcher {!pop_rr}s round-robin across non-empty shards, so
-    one client saturating the daemon cannot starve the others: every
-    client's oldest request is at most one round away. *)
+(** The daemon's bounded admission queue: one shard per client slot.
+    Admission {!push}es onto the submitting client's shard (refused at
+    capacity — the caller sheds), and the dispatcher {!pop_rr}s
+    round-robin across non-empty shards, so one client saturating the
+    daemon cannot starve the others: every client's oldest request is at
+    most one round away. *)
 
 type 'a t
 
-val create_empty : shards:int -> ?capacity:int -> unit -> 'a t
+val create_empty : shards:int -> capacity:int -> unit -> 'a t
 (** An empty queue of [shards] (>= 1) shards holding at most [capacity]
-    items (default 1_000_000), filled by {!push}. *)
+    items in all, filled by {!push}. *)
 
 val push : 'a t -> shard:int -> 'a -> bool
 (** Append to the back of that shard, O(1) amortized.  [false] — and the
@@ -27,14 +17,10 @@ val push : 'a t -> shard:int -> 'a -> bool
     the admission bound that turns overload into explicit [Shed]
     responses instead of unbounded memory growth. *)
 
-val pop : 'a t -> shard:int -> 'a option
-(** Next item for that shard's worker (own front, else steal).  [None]
-    when every shard is empty. *)
-
 val pop_rr : 'a t -> 'a option
 (** Next item in round-robin order across non-empty shards, resuming the
-    scan after the shard served last — per-client fairness when shards
-    are client slots.  Never steals (any consumer serves any shard). *)
+    scan after the shard served last.  [None] when every shard is
+    empty. *)
 
 val clear_shard : 'a t -> shard:int -> 'a list
 (** Drop and return everything queued on that shard (a disconnected
@@ -42,5 +28,3 @@ val clear_shard : 'a t -> shard:int -> 'a list
 
 val remaining : 'a t -> int
 val shard_depth : 'a t -> shard:int -> int
-val steals : 'a t -> int
-(** How many times a pop had to steal from a foreign shard. *)

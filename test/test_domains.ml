@@ -85,6 +85,18 @@ let rec daemon_verdict c =
   | Ok _ -> Alcotest.fail "unexpected message"
   | Error e -> Alcotest.failf "recv: %s" e
 
+(* Send every message in one write, so the daemon reads them as one
+   batch and admits them all before any is answered. *)
+let send_batch c msgs =
+  let batch = Bytes.concat Bytes.empty (List.map Proto.to_frame msgs) in
+  let rec write_all off =
+    if off < Bytes.length batch then
+      write_all
+        (off
+        + Unix.write (Proto.Client.fd c) batch off (Bytes.length batch - off))
+  in
+  write_all 0
+
 (* The loop app first, then a few ordinary apps that must not notice it:
    the same bytes inline, at one and four workers and from the daemon. *)
 let test_loop_times_out name () =
@@ -275,21 +287,12 @@ let test_single_flight () =
        batch and admits every submit while the first is still in flight —
        a herd sent frame by frame can lose the race to a fast analysis
        and be answered from the warm layer instead *)
-    let herd =
-      Bytes.concat Bytes.empty
-        (List.init n (fun req ->
-             Proto.to_frame
-               (Proto.Submit
-                  { sb_req = req; sb_subject = task.Task.t_subject;
-                    sb_mode = task.Task.t_mode; sb_deadline = None;
-                    sb_fault = None; sb_trace = false })))
-    in
-    let rec write_all off =
-      if off < Bytes.length herd then
-        write_all
-          (off + Unix.write (Proto.Client.fd c) herd off (Bytes.length herd - off))
-    in
-    write_all 0;
+    send_batch c
+      (List.init n (fun req ->
+           Proto.Submit
+             { sb_req = req; sb_subject = task.Task.t_subject;
+               sb_mode = task.Task.t_mode; sb_deadline = None;
+               sb_fault = None; sb_trace = false }));
     let coalesced = ref 0 in
     let verdicts = ref [] in
     let rec collect remaining =
@@ -334,29 +337,30 @@ let test_single_flight () =
 (* one inline-traced submission per app, events as canonical JSON lines *)
 let stream_apps = [ "case1"; "case2"; "QQPhoneBook3.5" ]
 
-let streams_of_daemon socket =
+let trace_lines (tc : Proto.trace) =
+  List.map (fun ev -> Json.to_string (Stream.event_json ev)) tc.Proto.tc_events
+
+let hybrid_submit ~req ~trace name =
+  Proto.Submit
+    { sb_req = req; sb_subject = Task.Bundled name; sb_mode = Task.Hybrid;
+      sb_deadline = None; sb_fault = None; sb_trace = trace }
+
+(* one traced submission at a time, each answered before the next *)
+let streams_of_daemon ?(apps = stream_apps) socket =
   let c = connect socket in
   let one i name =
-    Proto.Client.send c
-      (Proto.Submit
-         { sb_req = i; sb_subject = Task.Bundled name; sb_mode = Task.Hybrid;
-           sb_deadline = None; sb_fault = None; sb_trace = true });
+    Proto.Client.send c (hybrid_submit ~req:i ~trace:true name);
     let rec go acc =
       match Proto.Client.recv c with
       | Error e -> Alcotest.failf "recv: %s" e
-      | Ok (Proto.Trace tc) ->
-        go
-          (acc
-          @ List.map
-              (fun ev -> Json.to_string (Stream.event_json ev))
-              tc.Proto.tc_events)
+      | Ok (Proto.Trace tc) -> go (acc @ trace_lines tc)
       | Ok (Proto.Verdict _) -> acc
       | Ok (Proto.Progress _) -> go acc
       | Ok _ -> Alcotest.fail "unexpected message"
     in
     go []
   in
-  let streams = List.mapi one stream_apps in
+  let streams = List.mapi one apps in
   Proto.Client.close c;
   streams
 
@@ -373,6 +377,59 @@ let test_stream_differential () =
       Alcotest.(check (list string)) (name ^ ": jobs 2 stream == jobs 1 stream")
         (List.nth one i) (List.nth two i))
     stream_apps
+
+(* A traced Submit pipelined right behind an untraced one, with two
+   workers free: each job must run with its own trace window, not with
+   whichever window the daemon armed last.  Every request goes out in one
+   write before anything is read, so both workers are handed jobs back to
+   back; distinct apps keep the warm layer and coalescing out of it. *)
+let race_pairs =
+  [ ("case1", "case2"); ("QQPhoneBook3.5", "case4");
+    ("PoC-case3", "ePhone3.3"); ("case3", "poly-net") ]
+
+let test_trace_window_per_job () =
+  let traced = List.map fst race_pairs in
+  let _, reference =
+    with_domains_daemon ~jobs:1 "race-1" (streams_of_daemon ~apps:traced)
+  in
+  let _, got =
+    with_domains_daemon ~jobs:2 "race-2" (fun socket ->
+        let c = connect socket in
+        send_batch c
+          (List.concat
+             (List.mapi
+                (fun i (t, u) ->
+                  [ hybrid_submit ~req:(2 * i) ~trace:true t;
+                    hybrid_submit ~req:((2 * i) + 1) ~trace:false u ])
+                race_pairs));
+        let streams = Array.make (2 * List.length race_pairs) [] in
+        let rec collect remaining =
+          if remaining > 0 then
+            match Proto.Client.recv c with
+            | Error e -> Alcotest.failf "recv: %s" e
+            | Ok (Proto.Trace tc) ->
+              let r = tc.Proto.tc_req in
+              streams.(r) <- streams.(r) @ trace_lines tc;
+              collect remaining
+            | Ok (Proto.Verdict _) -> collect (remaining - 1)
+            | Ok (Proto.Progress _) -> collect remaining
+            | Ok (Proto.Shed s) -> Alcotest.failf "shed: %s" s.sh_reason
+            | Ok _ -> Alcotest.fail "unexpected message"
+        in
+        collect (Array.length streams);
+        Proto.Client.close c;
+        streams)
+  in
+  List.iteri
+    (fun i ((t, u), expected) ->
+      Alcotest.(check bool) (t ^ ": the jobs 1 daemon streamed") true
+        (expected <> []);
+      Alcotest.(check (list string))
+        (t ^ ": pipelined jobs 2 stream == jobs 1 stream")
+        expected got.(2 * i);
+      Alcotest.(check (list string)) (u ^ ": untraced, no events") []
+        got.((2 * i) + 1))
+    (List.combine race_pairs reference)
 
 let test_slow_subscriber_sheds_not_stalls () =
   (* a subscriber that never reads, behind a deliberately tiny outbound
@@ -466,4 +523,6 @@ let suite =
     Alcotest.test_case "daemon: slow subscriber sheds, never stalls" `Quick
       test_slow_subscriber_sheds_not_stalls;
     Alcotest.test_case "budget: a memset of 4 GiB times out everywhere"
-      `Quick (test_loop_times_out Adversarial.memset) ]
+      `Quick (test_loop_times_out Adversarial.memset);
+    Alcotest.test_case "daemon: each pipelined job streams with its own window"
+      `Quick test_trace_window_per_job ]

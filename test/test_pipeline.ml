@@ -1,4 +1,4 @@
-(* The batch pipeline: canonical JSON, the unified verdict, the sharded
+(* The batch pipeline: canonical JSON, the unified verdict, the
    worker pool (budget timeouts, crash isolation, determinism across
    --jobs), the work budget itself and the on-disk result cache. *)
 
@@ -10,7 +10,6 @@ module Task = Ndroid_pipeline.Task
 module Pool = Ndroid_pipeline.Pool
 module Cache = Ndroid_pipeline.Cache
 module Analysis = Ndroid_pipeline.Analysis
-module Shard_queue = Ndroid_pipeline.Shard_queue
 module Wire = Ndroid_pipeline.Wire
 module Market = Ndroid_corpus.Market
 module Budget = Ndroid_budget.Budget
@@ -234,28 +233,6 @@ let test_wire_oversized () =
     (Unix.read r rest 0 16);
   Unix.close r
 
-(* ---- shard queue ---- *)
-
-let test_shard_queue () =
-  let q = Shard_queue.create_empty ~shards:2 () in
-  List.iteri
-    (fun i x -> ignore (Shard_queue.push q ~shard:(i mod 2) x))
-    [ 0; 1; 2; 3; 4; 5 ];
-  (* shard 0 was dealt 0;2;4 in order *)
-  Alcotest.(check (option int)) "own front" (Some 0) (Shard_queue.pop q ~shard:0);
-  Alcotest.(check (option int)) "own order" (Some 2) (Shard_queue.pop q ~shard:0);
-  Alcotest.(check (option int)) "own tail" (Some 4) (Shard_queue.pop q ~shard:0);
-  (* shard 0 is dry: it must steal from shard 1's back half *)
-  Alcotest.(check bool) "steal succeeds" true
-    (Shard_queue.pop q ~shard:0 <> None);
-  Alcotest.(check bool) "steal counted" true (Shard_queue.steals q > 0);
-  let rec drain n = if Shard_queue.pop q ~shard:1 <> None then drain (n + 1) else n in
-  ignore (drain 0);
-  Alcotest.(check int) "all consumed" 0 (Shard_queue.remaining q);
-  let q = Shard_queue.create_empty ~shards:1 ~capacity:2 () in
-  Alcotest.(check (list bool)) "bounded" [ true; true; false ]
-    (List.map (fun x -> Shard_queue.push q ~shard:0 x) [ 1; 2; 3 ])
-
 (* ---- the pool ---- *)
 
 let slice n = Task.of_market_slice (Market.scaled n)
@@ -442,8 +419,8 @@ let suite =
     Alcotest.test_case "wire: frame roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire: byte-by-byte reassembly" `Quick
       test_wire_incremental;
-    Alcotest.test_case "queue: shard order and stealing" `Quick
-      test_shard_queue;
+    Alcotest.test_case "wire: a header over the frame limit is refused unread"
+      `Quick test_wire_oversized;
     Alcotest.test_case "pool: jobs 4 equals inline" `Quick
       test_pool_matches_inline;
     Alcotest.test_case "pool: hung app records timeout" `Quick
@@ -466,6 +443,4 @@ let suite =
     Alcotest.test_case "budget: a charge pays up front or not at all" `Quick
       test_budget_charges_up_front;
     Alcotest.test_case "budget: bundled apps leave three orders of headroom"
-      `Quick test_budget_headroom;
-    Alcotest.test_case "wire: a header over the frame limit is refused unread"
-      `Quick test_wire_oversized ]
+      `Quick test_budget_headroom ]
