@@ -163,7 +163,12 @@ let case_study title app show =
     o.H.leaks;
   show o;
   Printf.printf "--- NDroid flow log ---\n";
-  List.iter (fun l -> Printf.printf "  %s\n" l) o.H.flow_log
+  match o.H.analysis with
+  | Some nd ->
+    List.iter
+      (fun l -> Printf.printf "  %s\n" l)
+      (Ndroid_core.Flow_log.entries (Ndroid_core.Ndroid.log nd))
+  | None -> ()
 
 let clip s n = String.sub s 0 (min n (String.length s))
 
@@ -1136,7 +1141,7 @@ let pipeline () =
      Both mode makes per-app work big enough (~ms) that cold requests
      measure analysis, not IPC; the warm pass then shows what the
      persistent daemon buys — the same slice answered from the
-     in-process warm layer without re-analysis. *)
+     in-process warm table without re-analysis. *)
   let serve_tasks = Task.of_market_slice ~mode:Task.Both params in
   let inline_serve = Pool.run_inline serve_tasks in
   let socket =
@@ -1250,7 +1255,7 @@ let pipeline () =
     "serve overload (depth 64): %d/%d shed in %.2fs, every request answered\n%!"
     overload_shed slice dt_overload;
   (* ---- single-flight: a herd of identical requests costs one analysis.
-     The daemon takes 32 pipelined submits of one digest: the first
+     The daemon takes 32 pipelined submits of one request: the first
      queues, the rest coalesce onto it, and the one verdict fans out. *)
   let sf_n = 32 in
   let sf_task = List.hd serve_tasks in
@@ -1297,7 +1302,7 @@ let pipeline () =
      verdicts identical: %b\n%!"
     sf_n sf_coalesced sf_cached sf_identical;
   (* ---- streaming: a live subscriber must not slow the sweep ----
-     Fresh daemon per run (a cold warm layer every time).  The estimate
+     Fresh daemon per run (a cold warm table every time).  The estimate
      is the median ratio over [stream_pairs] interleaved (unsubscribed,
      subscribed) pairs, alternating which of the two runs first, so a
      slow spell on a shared box lands on both sides of a pair and an
@@ -1451,8 +1456,6 @@ let pipeline () =
         ("timeouts", Rj.Int s.Pool.s_timeouts);
         ("shed", Rj.Int s.Pool.s_shed);
         ("evictions", Rj.Int s.Pool.s_evictions);
-        ("cache_pass_seconds", Rj.Float s.Pool.s_cache_pass);
-        ("digest_seconds", Rj.Float s.Pool.s_digest);
         ("collect_seconds", Rj.Float s.Pool.s_collect);
         ("analyze_cpu_seconds", Rj.Float s.Pool.s_analyze_cpu);
         ("bytecodes", Rj.Int s.Pool.s_bytecodes);
@@ -1559,7 +1562,7 @@ let pipeline () =
       (Printf.sprintf "warm cache answered %d/%d from disk"
          sw.Pool.s_cache_hits slice);
   if not cache_identical then fail "cached reports differ from computed ones";
-  (* the service bars: warm requests come from the in-process warm layer
+  (* the service bars: warm requests come from the in-process warm table
      (every one cached, >= 1000 req/s: at most 1 ms each) with nothing shed
      at nominal load and verdicts bit-identical to batch analyze.  The warm
      path is gated on its own cost, not on its ratio to the cold path, which
@@ -1574,7 +1577,7 @@ let pipeline () =
          (cold_shed + warm_shed));
   if warm_cached <> slice then
     fail
-      (Printf.sprintf "warm serve answered %d/%d from the warm layer"
+      (Printf.sprintf "warm serve answered %d/%d from the warm table"
          warm_cached slice);
   if warm_rps < 1000.0 then
     fail

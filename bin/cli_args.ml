@@ -87,8 +87,8 @@ let jobs_arg ~default ~doc =
 let cache_arg =
   Arg.(value & opt (some string) None
        & info [ "cache" ] ~docv:"DIR"
-           ~doc:"On-disk result cache keyed by app digest and analyzer \
-                 version.")
+           ~doc:"On-disk result cache keyed by app name, content digest and \
+                 analyzer version.")
 
 let market_arg =
   Arg.(value & opt (some int) None

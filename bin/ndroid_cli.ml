@@ -76,10 +76,6 @@ let run_with_policy mode block app =
     { H.mode;
       detected = leaks <> [];
       leaks;
-      flow_log =
-        (match nd with
-         | Some n -> Ndroid_core.Flow_log.entries (Ndroid_core.Ndroid.log n)
-         | None -> []);
       stats = (match nd with Some n -> Some (Ndroid_core.Ndroid.stats n) | None -> None);
       transmissions =
         A.Network.transmissions (Ndroid_runtime.Device.net device);
@@ -122,10 +118,14 @@ let cmd_run name mode_s show_log report block =
     (match o.H.stats with
      | Some s -> Format.printf "stats: %a@." Ndroid_core.Ndroid.pp_stats s
      | None -> ());
-    if show_log && o.H.flow_log <> [] then begin
-      print_endline "--- flow log ---";
-      List.iter print_endline o.H.flow_log
-    end;
+    (match o.H.analysis with
+     | Some nd when show_log ->
+       let log = Ndroid_core.Flow_log.entries (Ndroid_core.Ndroid.log nd) in
+       if log <> [] then begin
+         print_endline "--- flow log ---";
+         List.iter print_endline log
+       end
+     | Some _ | None -> ());
     0
 
 let cmd_matrix () =
@@ -337,8 +337,6 @@ let cmd_analyze names mode json jobs cache_dir market trace_file =
             ~skipped_bytecodes:s.Pool.s_skipped_bytecodes
             ~analyze_seconds:s.Pool.s_analyze_cpu
             [ ("wall_seconds", Json.Float s.Pool.s_wall);
-              ("cache_pass_seconds", Json.Float s.Pool.s_cache_pass);
-              ("digest_seconds", Json.Float s.Pool.s_digest);
               ("collect_seconds", Json.Float s.Pool.s_collect);
               ("cache_hits", Json.Int s.Pool.s_cache_hits);
               ("from_workers", Json.Int s.Pool.s_from_workers);
@@ -470,7 +468,7 @@ let cmd_submit socket names market mode json deadline trace_follow =
           decr remaining
         | Ok (Proto.Progress { pg_req; pg_state; pg_depth }) ->
           (* the daemon narrates admission (queued at depth N, coalesced
-             onto an in-flight digest); stdout stays exactly the report
+             onto an in-flight request); stdout stays exactly the report
              array, so the narration goes to stderr *)
           if not json then
             Printf.eprintf "request %d %s (queue depth %d)\n%!" pg_req
@@ -775,7 +773,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the analysis daemon on a Unix socket: persistent workers, \
-             a warm digest cache, per-client round-robin fairness, and \
+             a warm table of answers, per-client round-robin fairness, and \
              explicit shedding under overload.  Stop with SIGTERM or \
              Ctrl-C.")
     Term.(const cmd_serve $ Cli_args.socket_pos

@@ -30,7 +30,6 @@ type outcome = {
   mode : mode;
   detected : bool;
   leaks : A.Sink_monitor.leak list;
-  flow_log : string list;
   stats : Ndroid.stats option;
   transmissions : A.Network.transmission list;
   file_writes : A.Filesystem.write_record list;
@@ -109,8 +108,6 @@ let run ?obs ?(summaries = false) ?focus mode app =
   { mode;
     detected;
     leaks;
-    flow_log =
-      (match ndroid with Some n -> Flow_log.entries (Ndroid.log n) | None -> []);
     stats = (match ndroid with Some n -> Some (Ndroid.stats n) | None -> None);
     transmissions = A.Network.transmissions (Device.net device);
     file_writes = A.Filesystem.writes (Device.fs device);

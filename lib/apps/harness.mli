@@ -29,7 +29,6 @@ type outcome = {
   mode : mode;
   detected : bool;  (** a tainted leak was reported at the expected sink *)
   leaks : Ndroid_android.Sink_monitor.leak list;
-  flow_log : string list;  (** NDroid's log, [] in other modes *)
   stats : Ndroid_core.Ndroid.stats option;
   transmissions : Ndroid_android.Network.transmission list;
   file_writes : Ndroid_android.Filesystem.write_record list;

@@ -261,6 +261,11 @@ let bundled_descriptor name =
     let input = St.Drive.input_of_app app in
     let entry_class, entry_method = app.Ndroid_apps.Harness.entry in
     let buf = Buffer.create 4096 in
+    (* and the name, which the report carries: two apps with equal
+       content must not share an entry (a market descriptor starts with
+       its package, the market app's name) *)
+    Buffer.add_string buf name;
+    Buffer.add_char buf '|';
     Buffer.add_string buf entry_class;
     Buffer.add_string buf "->";
     Buffer.add_string buf entry_method;
@@ -290,13 +295,13 @@ let digest (task : Task.t) =
 
 (* ---- the request-oriented facade ---- *)
 
-(* One service value owns the whole answer-one-request path: digest the
-   task (memoized — descriptor construction is the expensive part of a
-   warm probe), probe the in-memory warm layer then the on-disk cache,
-   run the analyzer on a miss, and store the answer back.  The daemon,
-   the batch pool's cache pass and [Pool.run_inline] are all built on
-   it, so "what counts as a hit" and "what may be cached" have exactly
-   one definition. *)
+(* One service value owns the whole answer-one-request path: probe the
+   in-memory warm table (keyed by the request itself), then the on-disk
+   cache if one is configured (keyed by the content digest), run the
+   analyzer on a miss, and store the answer back.  The daemon, the batch
+   pool's workers and [Pool.run_inline] are all built on it, so "what
+   counts as a hit" and "what may be cached" have exactly one
+   definition. *)
 
 (* A bounded memo table with second-chance (clock) eviction: entries keep
    a reference bit set on every hit; when the table is full the oldest
@@ -351,7 +356,7 @@ let memo_add m key value =
   end
 
 (* Every service below is shared by all domains of the in-process engine:
-   one mutex guards the two memo tables and the counters.  Analyzer runs,
+   one mutex guards the memo table and the request count.  Analyzer runs,
    digest computation and disk I/O happen outside the lock — the critical
    sections are table probes only, so domains contend for nanoseconds,
    not for analysis time. *)
@@ -359,10 +364,8 @@ let memo_add m key value =
 type service = {
   sv_cache : Cache.t option;
   sv_lock : Mutex.t;
-  sv_digest_memo : string memo;  (* subject+mode -> digest *)
-  sv_memo : Verdict.report memo;  (* digest -> warm report *)
+  sv_memo : Verdict.report memo;  (* request key -> warm report *)
   mutable sv_requests : int;
-  mutable sv_hits : int;  (* memo + disk together *)
 }
 
 let default_capacity = 65536
@@ -371,10 +374,8 @@ let service ?cache ?(capacity = default_capacity) () =
   (match cache with Some c -> enable_summary_cache c | None -> ());
   { sv_cache = cache;
     sv_lock = Mutex.create ();
-    sv_digest_memo = memo_create capacity;
     sv_memo = memo_create capacity;
-    sv_requests = 0;
-    sv_hits = 0 }
+    sv_requests = 0 }
 
 let locked sv f =
   Mutex.lock sv.sv_lock;
@@ -387,76 +388,58 @@ let locked sv f =
     raise exn
 
 let service_requests sv = locked sv (fun () -> sv.sv_requests)
-let service_hits sv = locked sv (fun () -> sv.sv_hits)
-
-let service_evictions sv =
-  locked sv (fun () ->
-      sv.sv_digest_memo.mm_evictions + sv.sv_memo.mm_evictions)
+let service_evictions sv = locked sv (fun () -> sv.sv_memo.mm_evictions)
 
 let service_warm_entries sv =
   locked sv (fun () -> Hashtbl.length sv.sv_memo.mm_tbl)
 
 (* the answer's identity: subject and mode, never the request-local id or
    an injected fault *)
-let memo_key (task : Task.t) =
+let request_key (task : Task.t) =
   Task.mode_name task.Task.t_mode
   ^ "|"
   ^ Json.to_string (Task.subject_to_json task.Task.t_subject)
 
-let service_digest sv task =
-  let k = memo_key task in
-  match locked sv (fun () -> memo_find sv.sv_digest_memo k) with
-  | Some d -> d
-  | None ->
-    (* compute outside the lock: descriptor construction is the expensive
-       part, and two domains racing to the same digest write equal values *)
-    let d = digest task in
-    locked sv (fun () -> memo_add sv.sv_digest_memo k d);
-    d
+(* a fault marker means "really run this" ({!run} acts on it); serving it
+   from cache would silently skip the injection *)
+let cacheable (task : Task.t) = task.Task.t_fault = None
 
-let service_find sv (task : Task.t) =
-  (* a fault marker means "really run this" ({!run} acts on it); serving
-     it from cache would silently skip the injection *)
-  if task.Task.t_fault <> None then None
-  else begin
-    let d = service_digest sv task in
-    match
-      locked sv (fun () ->
-          match memo_find sv.sv_memo d with
-          | Some report ->
-            sv.sv_hits <- sv.sv_hits + 1;
-            Some report
-          | None -> None)
-    with
-    | Some _ as hit -> hit
-    | None -> (
-      (* disk probe outside the lock; a racing domain reads the same file *)
-      match Option.bind sv.sv_cache (fun c -> Cache.find c ~key:d) with
-      | Some report as hit ->
-        locked sv (fun () ->
-            sv.sv_hits <- sv.sv_hits + 1;
-            memo_add sv.sv_memo d report);
-        hit
-      | None -> None)
-  end
-
-let service_store sv ~digest report =
-  match report.Verdict.r_verdict with
-  (* a crash is a circumstance, not an app fact; a budget [Timeout] is
-     deterministic and kept like any other verdict *)
-  | Verdict.Crashed _ -> ()
-  | _ ->
-    locked sv (fun () -> memo_add sv.sv_memo digest report);
-    (match sv.sv_cache with
-     | Some c -> Cache.store c ~key:digest report
-     | None -> ())
+let service_find sv task =
+  if cacheable task then
+    let key = request_key task in
+    locked sv (fun () -> memo_find sv.sv_memo key)
+  else None
 
 let service_run sv ?obs ?cancel (task : Task.t) =
-  locked sv (fun () -> sv.sv_requests <- sv.sv_requests + 1);
-  match service_find sv task with
+  let key = request_key task in
+  let warm =
+    locked sv (fun () ->
+        sv.sv_requests <- sv.sv_requests + 1;
+        if cacheable task then memo_find sv.sv_memo key else None)
+  in
+  match warm with
   | Some report -> (report, true)
-  | None ->
-    let report, cancelled = run_outcome ?obs ?cancel task in
-    if task.Task.t_fault = None && not cancelled then
-      service_store sv ~digest:(service_digest sv task) report;
-    (report, false)
+  | None -> (
+    (* the content digest keys only the disk: computed once, outside the
+       lock, and shared by the probe and the store *)
+    let disk =
+      match sv.sv_cache with
+      | Some c when cacheable task -> Some (c, digest task)
+      | Some _ | None -> None
+    in
+    match Option.bind disk (fun (c, d) -> Cache.find c ~key:d) with
+    | Some report ->
+      locked sv (fun () -> memo_add sv.sv_memo key report);
+      (report, true)
+    | None ->
+      let report, cancelled = run_outcome ?obs ?cancel task in
+      (match report.Verdict.r_verdict with
+       (* a crash is a circumstance, not an app fact, and so is a cancel's
+          [Timeout]; a budget [Timeout] is deterministic and kept like any
+          other verdict *)
+       | Verdict.Crashed _ -> ()
+       | _ when cancelled || not (cacheable task) -> ()
+       | _ ->
+         locked sv (fun () -> memo_add sv.sv_memo key report);
+         Option.iter (fun (c, d) -> Cache.store c ~key:d report) disk);
+      (report, false))

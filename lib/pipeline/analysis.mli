@@ -38,64 +38,65 @@ val run : ?obs:Ndroid_obs.Ring.t -> Task.t -> Ndroid_report.Verdict.report
     into its metrics registry. *)
 
 val digest : Task.t -> string
-(** Cache key: hex MD5 over the app's content (artifact bytes for bundled
-    apps, the generator-independent content descriptor for market apps),
-    the analysis mode, {!version} and {!feature_key}.  Two tasks with
-    equal digests would produce equal reports. *)
+(** Disk-cache key: hex MD5 over the subject's name and content (artifact
+    bytes for bundled apps, the generator-independent content descriptor
+    for market apps), the analysis mode, {!version} and {!feature_key}.
+    Two tasks with equal digests would produce equal reports. *)
+
+val request_key : Task.t -> string
+(** Warm-table key: the mode plus the canonical subject JSON — the
+    request itself, never its id or fault marker.  Reads no content. *)
 
 (** {1 The request-oriented facade}
 
-    One [service] value owns the answer-one-request path — digest
-    (memoized per subject+mode), in-memory warm layer, on-disk cache,
+    One [service] value owns the answer-one-request path — in-memory warm
+    table keyed by {!request_key}, on-disk cache keyed by {!digest},
     analyzer, store — so the `ndroid serve` daemon, the batch pool's
-    cache pass and [Pool.run_inline] share exactly one definition of
-    "hit" and "cacheable".  A service is single-process state: the warm
-    layer is what a long-lived daemon accumulates across requests.
+    workers and [Pool.run_inline] share exactly one definition of "hit"
+    and "cacheable".  A service is single-process state: the warm table
+    is what a long-lived daemon accumulates across requests.
 
-    A service is domain-safe: one mutex guards the memo tables and
-    counters, held only across table probes — digesting, analyzing and
-    disk I/O all run unlocked — so the {!Domain_pool} workers share one
-    warm layer without serializing on it.  Both memo tables
-    are bounded ([capacity] entries each) with second-chance eviction,
-    so a long-lived daemon converges on its hottest answers instead of
-    growing without limit. *)
+    A service is domain-safe: one mutex guards the warm table and the
+    request count, held only across table probes — digesting, analyzing
+    and disk I/O all run unlocked — so the {!Domain_pool} workers share
+    one warm table without serializing on it.  The table is bounded
+    ([capacity] entries) with second-chance eviction, so a long-lived
+    daemon converges on its hottest answers instead of growing without
+    limit. *)
 
 type service
 
 val service : ?cache:Cache.t -> ?capacity:int -> unit -> service
 (** Also installs the native-summary persistence hooks on [cache]
-    ({!enable_summary_cache}).  [capacity] bounds each memo table
+    ({!enable_summary_cache}).  [capacity] bounds the warm table
     (default 65536). *)
 
 val service_run :
   service -> ?obs:Ndroid_obs.Ring.t -> ?cancel:bool Atomic.t -> Task.t ->
   Ndroid_report.Verdict.report * bool
-(** Answer one request, from the warm layer / cache when possible
-    ([true] = served from cache), else through {!run} and stored.
-    Setting [cancel] (from any domain) stops the run with [Timeout] at
-    its next budget check, and cuts a [Sleep] fault short — the daemon's
-    wall-clock deadlines.  Tasks
+(** Answer one request with one probe — the warm table, then the disk if
+    a {!Cache} is configured — else through {!run}, storing the answer
+    ([true] = served from cache).  {!digest} is computed at most once,
+    and only when there is a disk to probe.  Setting [cancel] (from any
+    domain) stops the run with [Timeout] at its next budget check, and
+    cuts a [Sleep] fault short — the daemon's wall-clock deadlines.  Tasks
     carrying a fault marker are never cache-served and never stored — a
     fault means "really run this".  [Crashed] reports are never stored,
     and neither is a [Timeout] that [cancel] caused; a [Timeout] from the
     spent {!work_budget} is a fact about the app and is stored. *)
 
 val service_find : service -> Task.t -> Ndroid_report.Verdict.report option
-(** The probe alone: the cached report, warm layer first, then disk
-    (promoting the entry into the warm layer).  [None] for fault-marked
-    tasks.  Does not count a request. *)
-
-val service_digest : service -> Task.t -> string
-(** {!digest}, memoized per subject+mode. *)
+(** A warm-table peek: no digest, no file I/O, no request counted.
+    [None] for fault-marked tasks.  The daemon answers warm requests at
+    admission with it; a disk hit comes back from a worker's
+    {!service_run}. *)
 
 val service_requests : service -> int
-val service_hits : service -> int
-(** Requests answered through {!service_run} and how many of those hit
-    the warm layer or disk cache. *)
+(** Requests answered through {!service_run}. *)
 
 val service_evictions : service -> int
-(** Entries evicted from the two memo tables (second-chance) since the
-    service was created. *)
+(** Warm-table entries evicted (second-chance) since the service was
+    created. *)
 
 val service_warm_entries : service -> int
-(** Reports currently held in the warm layer — bounded by [capacity]. *)
+(** Reports currently held in the warm table — bounded by [capacity]. *)

@@ -1,11 +1,12 @@
 module Json = Ndroid_report.Json
 module Verdict = Ndroid_report.Verdict
 
-type t = { dir : string; mutable hits : int; mutable misses : int }
+(* the counters are atomic: the pool's worker domains probe concurrently *)
+type t = { dir : string; hits : int Atomic.t; misses : int Atomic.t }
 
 let create ~dir =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  { dir; hits = 0; misses = 0 }
+  { dir; hits = Atomic.make 0; misses = Atomic.make 0 }
 
 let path t key = Filename.concat t.dir (key ^ ".json")
 
@@ -19,15 +20,25 @@ let tmp_name final =
   Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
     (Atomic.fetch_and_add tmp_seq 1)
 
+(* A plain descriptor, not a channel: the pool's worker domains probe the
+   disk concurrently, and each channel costs a 64 KiB buffer and a trip
+   through the runtime's process-wide channel list. *)
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let data =
-      try Some (really_input_string ic (in_channel_length ic))
-      with _ -> None
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+    let rec fill buf off =
+      off = Bytes.length buf
+      || (let n = Unix.read fd buf off (Bytes.length buf - off) in
+          n > 0 && fill buf (off + n))
     in
-    close_in_noerr ic;
+    let data =
+      try
+        let buf = Bytes.create (Unix.fstat fd).Unix.st_size in
+        if fill buf 0 then Some (Bytes.unsafe_to_string buf) else None
+      with Unix.Unix_error _ -> None
+    in
+    Unix.close fd;
     data
 
 let find t ~key =
@@ -43,8 +54,8 @@ let find t ~key =
         | Error _ -> None))
   in
   (match result with
-   | Some _ -> t.hits <- t.hits + 1
-   | None -> t.misses <- t.misses + 1);
+   | Some _ -> Atomic.incr t.hits
+   | None -> Atomic.incr t.misses);
   result
 
 let store t ~key report =
@@ -65,8 +76,8 @@ let store t ~key report =
 let find_raw t ~key =
   let result = read_file (path t key) in
   (match result with
-   | Some _ -> t.hits <- t.hits + 1
-   | None -> t.misses <- t.misses + 1);
+   | Some _ -> Atomic.incr t.hits
+   | None -> Atomic.incr t.misses);
   result
 
 let store_raw t ~key data =
@@ -79,5 +90,5 @@ let store_raw t ~key data =
     close_out_noerr oc;
     (try Sys.rename tmp final with Sys_error _ -> ())
 
-let hits t = t.hits
-let misses t = t.misses
+let hits t = Atomic.get t.hits
+let misses t = Atomic.get t.misses

@@ -6,6 +6,7 @@ module Stream = Ndroid_obs.Stream
 type completion = {
   dc_ticket : int;
   dc_report : Verdict.report;
+  dc_cached : bool;
   dc_seconds : float;
   dc_events : Stream.event list;
   dc_dropped : int;
@@ -89,7 +90,7 @@ let worker_loop t slot =
       Ring.clear ring;
       let ow0 = Ring.overwritten ring in
       let t0 = Unix.gettimeofday () in
-      let report, _cached =
+      let report, cached =
         Analysis.service_run t.dp_service ~obs:ring ?cancel task
       in
       let dt = Unix.gettimeofday () -. t0 in
@@ -120,7 +121,8 @@ let worker_loop t slot =
       in
       Mutex.lock t.dp_lock;
       t.dp_completed <-
-        { dc_ticket = ticket; dc_report = report; dc_seconds = dt;
+        { dc_ticket = ticket; dc_report = report; dc_cached = cached;
+          dc_seconds = dt;
           dc_events = events; dc_dropped = dropped; dc_lost = lost }
         :: t.dp_completed;
       t.dp_inflight <- t.dp_inflight - 1;

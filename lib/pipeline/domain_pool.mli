@@ -2,8 +2,9 @@
     one mutex-protected FIFO and handing {!Ndroid_report.Verdict.report}
     values back through shared memory — no fork, no serialization, no
     parent-side reassembly.  All domains share the one {!Analysis.service}
-    (its own mutex makes that safe), so the warm layer deduplicates across
-    workers mid-sweep.
+    (its own mutex makes that safe), so the warm table deduplicates across
+    workers mid-sweep, and a worker's {!Analysis.service_run} is the only
+    cache probe a dispatched task gets.
 
     A task cannot wedge its domain: {!Analysis.run} bounds it by the work
     budget, acts on its fault marker, and turns any exception into a
@@ -14,6 +15,9 @@ type t
 type completion = {
   dc_ticket : int;  (** the caller's id for the task, echoed back *)
   dc_report : Ndroid_report.Verdict.report;
+  dc_cached : bool;
+      (** served from the service's warm table or disk cache, not
+          analyzed — the flag {!Analysis.service_run} returns *)
   dc_seconds : float;  (** analysis wall time inside the domain *)
   dc_events : Ndroid_obs.Stream.event list;
       (** the task's throttled event stream — empty unless it was

@@ -21,7 +21,6 @@ type stats = {
   s_shed : int;
   s_evictions : int;
   s_wall : float;
-  s_cache_pass : float;
   s_digest : float;
   s_collect : float;
   s_analyze_cpu : float;
@@ -77,74 +76,44 @@ let run cfg tasks =
   let results = Array.make total dummy_report in
   let n_done = ref 0 in
   let from_workers = ref 0 in
+  let cache_hits = ref 0 in
   let crashed = ref 0 in
   let timeouts = ref 0 in
   let analyze_cpu = ref 0.0 in
-  let digest_time = ref 0.0 in
   (* sweep-wide metrics: parent-side counters plus every worker registry *)
   let metrics = Metrics.create () in
   let mcount name n = Metrics.add (Metrics.counter metrics name) n in
-  let progress () =
-    match cfg.c_progress with
-    | Some f -> f ~done_:!n_done ~total
-    | None -> ()
-  in
-  let record id report =
-    results.(id) <- report;
-    incr n_done;
-    progress ()
-  in
-  (* phase 1: answer unchanged apps through the service facade (warm
-     layer + disk cache) without dispatching — the progress callback
-     fires for these exactly as it does for worker results, so done_/total
-     is monotone and complete whatever mix of hits and misses a sweep is *)
-  let t_cache0 = now () in
-  let pending =
-    match cfg.c_cache with
-    | None -> tasks
-    | Some _ ->
-      List.filter
-        (fun (task : Task.t) ->
-          (* digest first, timed, so the key derivation cost is
-             attributed to its own phase; the probe below hits the memo *)
-          let t_d0 = now () in
-          ignore (Analysis.service_digest service task);
-          digest_time := !digest_time +. (now () -. t_d0);
-          match Analysis.service_find service task with
-          | Some report ->
-            record task.Task.t_id report;
-            false
-          | None -> true)
-        tasks
-  in
-  let cache_pass = now () -. t_cache0 in
-  let cache_hits = !n_done in
-  mcount "cache_hits" cache_hits;
-  mcount "cache_misses" (total - cache_hits);
-  (* phase 2: the domains share [service], so a completion is a report by
-     reference — nothing to parse, nothing to re-store
-     ([Analysis.service_run] stored it already) *)
-  let t_collect0 = now () in
-  if pending <> [] then begin
-    let jobs = min cfg.c_jobs (List.length pending) in
-    let pool = Domain_pool.create ~domains:jobs ~service () in
+  (* every task goes to the workers: the domains share [service], whose
+     [service_run] is the one cache probe, so a completion is a report by
+     reference — nothing to parse, nothing to re-store *)
+  if tasks <> [] then begin
+    let pool =
+      Domain_pool.create ~domains:(min cfg.c_jobs total) ~service ()
+    in
     List.iter
       (fun (t : Task.t) -> Domain_pool.submit pool ~ticket:t.Task.t_id t)
-      pending;
+      tasks;
     while !n_done < total do
       List.iter
         (fun (c : Domain_pool.completion) ->
           let report = c.Domain_pool.dc_report in
           analyze_cpu := !analyze_cpu +. c.Domain_pool.dc_seconds;
-          incr from_workers;
-          (match report.Verdict.r_verdict with
-           | Verdict.Crashed _ -> incr crashed
-           | Verdict.Timeout -> incr timeouts
-           | Verdict.Clean | Verdict.Flagged _ -> ());
-          Metrics.observe_int
-            (Metrics.histogram metrics "task_bytecodes")
-            (meta_int "bytecodes" report);
-          record c.Domain_pool.dc_ticket report)
+          if c.Domain_pool.dc_cached then incr cache_hits
+          else begin
+            incr from_workers;
+            (match report.Verdict.r_verdict with
+             | Verdict.Crashed _ -> incr crashed
+             | Verdict.Timeout -> incr timeouts
+             | Verdict.Clean | Verdict.Flagged _ -> ());
+            Metrics.observe_int
+              (Metrics.histogram metrics "task_bytecodes")
+              (meta_int "bytecodes" report)
+          end;
+          results.(c.Domain_pool.dc_ticket) <- report;
+          incr n_done;
+          match cfg.c_progress with
+          | Some f -> f ~done_:!n_done ~total
+          | None -> ())
         (Domain_pool.wait pool)
     done;
     (* everything is resolved, so the workers are idle: their lifetime
@@ -153,27 +122,26 @@ let run cfg tasks =
     mcount "domains" (Domain_pool.domains pool);
     Domain_pool.shutdown pool
   end;
-  let collect = if pending = [] then 0.0 else now () -. t_collect0 in
+  let collect = now () -. t_start in
   let bytecodes, jni_crossings, focused_methods, skipped_bytecodes =
     counters_of_reports results
   in
   let evictions = Analysis.service_evictions service in
+  mcount "cache_hits" !cache_hits;
+  mcount "cache_misses" (total - !cache_hits);
   mcount "evictions" evictions;
-  mcount "phase_cache_us" (int_of_float (cache_pass *. 1e6));
-  mcount "phase_digest_us" (int_of_float (!digest_time *. 1e6));
   mcount "phase_collect_us" (int_of_float (collect *. 1e6));
   ( results,
     { s_total = total;
       s_from_workers = !from_workers;
-      s_cache_hits = cache_hits;
+      s_cache_hits = !cache_hits;
       s_crashed = !crashed;
       s_timeouts = !timeouts;
       s_steals = 0;
       s_shed = 0;
       s_evictions = evictions;
       s_wall = now () -. t_start;
-      s_cache_pass = cache_pass;
-      s_digest = !digest_time;
+      s_digest = 0.0;
       s_collect = collect;
       s_analyze_cpu = !analyze_cpu;
       s_bytecodes = bytecodes;

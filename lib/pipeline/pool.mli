@@ -12,10 +12,11 @@
       [--jobs] values and across runs.
 
     Tasks and verdicts move through shared memory, and all workers share
-    one {!Analysis.service} warm layer.  Workers take tasks from one
-    shared FIFO, and an optional
-    {!Cache} answers unchanged apps without dispatching them at all.
-    Timing lives in the aggregate {!stats}, per phase. *)
+    one {!Analysis.service}.  Every task goes to the workers, which take
+    them from one shared FIFO; a worker's {!Analysis.service_run} is the
+    one cache probe, so an optional {!Cache} answers an unchanged app on
+    the worker without analyzing it.  Timing lives in the aggregate
+    {!stats}, per phase. *)
 
 type config = {
   c_jobs : int;  (** worker domains; >= 1 *)
@@ -32,10 +33,12 @@ val config :
 type stats = {
   s_total : int;
   s_from_workers : int;
-      (** completed by the workers, whatever the verdict *)
+      (** analyses the workers actually ran, whatever the verdict *)
   s_cache_hits : int;
-  s_crashed : int;  (** [Crashed] verdicts the workers returned *)
-  s_timeouts : int;  (** [Timeout] verdicts the workers returned *)
+      (** tasks a worker answered from the warm table or the disk cache
+          ([dc_cached] completions) *)
+  s_crashed : int;  (** [Crashed] verdicts the analyses returned *)
+  s_timeouts : int;  (** [Timeout] verdicts the analyses returned *)
   s_steals : int;
       (** Always [0]: the workers share one FIFO, so there is nothing to
           steal.  Kept only because the frozen benchmark
@@ -49,15 +52,14 @@ type stats = {
       (** memo entries evicted by the service's second-chance cap — [0]
           unless the sweep outgrew {!Analysis.service}'s capacity *)
   s_wall : float;  (** whole sweep, seconds *)
-  s_cache_pass : float;  (** phase: parent-side cache probe (includes
-                             [s_digest]) *)
   s_digest : float;
-      (** phase: deriving cache keys inside the cache pass — the
-          attribution split that shows where a warm probe's time goes *)
+      (** Always [0.0]: there is no parent-side cache pass to time, and a
+          worker digests only to probe the disk.  Kept only because the
+          frozen benchmark ([perfbench/w_market.ml]) reads it. *)
   s_collect : float;  (** phase: dispatch and collect loop *)
   s_analyze_cpu : float;
-      (** sum of per-task analysis seconds measured inside workers — the
-          serial-equivalent work the sweep performed *)
+      (** sum of per-task seconds measured inside workers, cache hits
+          included — the serial-equivalent work the sweep performed *)
   s_bytecodes : int;
       (** Dalvik bytecodes executed across every dynamic analysis in the
           sweep (from the deterministic per-report counters); divide by
@@ -79,7 +81,7 @@ type stats = {
       (** the sweep-wide observability registry
           ({!Ndroid_obs.Metrics.to_json} shape): every worker's registry
           merged with the parent's own counters (cache hits/misses,
-          evictions, per-phase timings) and histograms
+          evictions, the collect phase) and histograms
           ([task_seconds] covers clean, crashed {e and} timed-out apps) *)
 }
 

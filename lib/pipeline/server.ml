@@ -67,13 +67,13 @@ type sub = {
 }
 
 (* A pending or in-flight analysis.  Single-flight: concurrent Submits
-   whose digests collide all attach as waiters to the first entry — the
+   of one request key all attach as waiters to the first entry — the
    analysis runs once, the verdict fans out to every waiter.  Fault-marked
    tasks carry no key and never coalesce (a fault means "really run
    this").  The first waiter's deadline governs the entry. *)
 type entry = {
   e_task : Task.t;
-  e_key : string option;  (* digest; the single-flight identity *)
+  e_key : string option;  (* request key; the single-flight identity *)
   mutable e_waiters : waiter list;  (* newest first *)
   e_deadline : float option;
 }
@@ -104,7 +104,7 @@ let serve cfg =
       (fun s -> match cfg.s_log with Some f -> f s | None -> ())
       fmt
   in
-  (* the facade owns digesting, the warm layer and the disk cache *)
+  (* the facade owns the warm table, digesting and the disk cache *)
   let service = Analysis.service ?cache:cfg.s_cache () in
   let requests = ref 0 and served = ref 0 and cache_hits = ref 0 in
   let coalesced = ref 0 and analyses = ref 0 in
@@ -117,9 +117,9 @@ let serve cfg =
   let queue : entry Shard_queue.t =
     Shard_queue.create_empty ~shards:cfg.s_max_clients ~capacity:cfg.s_depth ()
   in
-  (* digest -> the entry every colliding Submit coalesces onto; an entry
-     is removed exactly when its terminal response fans out (or when its
-     last waiter disconnects while it is still queued) *)
+  (* request key -> the entry every colliding Submit coalesces onto; an
+     entry is removed exactly when its terminal response fans out (or when
+     its last waiter disconnects while it is still queued) *)
   let inflight : (string, entry) Hashtbl.t = Hashtbl.create 256 in
   let clients : client option array = Array.make cfg.s_max_clients None in
   (* ---- lifecycle ---- *)
@@ -334,7 +334,8 @@ let serve cfg =
     match Analysis.service_find service task with
     | Some report ->
       (* the daemon's reason to exist: the warm path never queues, never
-         dispatches, never re-links — one probe, one frame back *)
+         dispatches, never re-links — one peek, one frame back (the disk
+         is a worker's probe: the select loop reads no files) *)
       incr cache_hits;
       incr served;
       queue_out c
@@ -344,12 +345,12 @@ let serve cfg =
     | None -> (
         let key =
           if task.Task.t_fault = None then
-            Some (Analysis.service_digest service task)
+            Some (Analysis.request_key task)
           else None
         in
         match Option.bind key (Hashtbl.find_opt inflight) with
         | Some entry ->
-          (* single-flight: same digest already queued or running — attach
+          (* single-flight: same request already queued or running — attach
              and wait for the shared verdict *)
           entry.e_waiters <-
             { w_slot = c.cl_slot; w_gen = c.cl_gen; w_req = s.Proto.sb_req;
@@ -476,13 +477,16 @@ let serve cfg =
           running.(c.Domain_pool.dc_ticket) <- None;
           let entry = r.r_entry in
           let report = c.Domain_pool.dc_report in
-          incr analyses;
-          (match report.Verdict.r_verdict with
-           | Verdict.Crashed why ->
-             incr crashed;
-             log "request %d crashed: %s" entry.e_task.Task.t_id why
-           | Verdict.Timeout -> incr timeouts
-           | Verdict.Clean | Verdict.Flagged _ -> ());
+          if c.Domain_pool.dc_cached then incr cache_hits
+          else begin
+            incr analyses;
+            match report.Verdict.r_verdict with
+            | Verdict.Crashed why ->
+              incr crashed;
+              log "request %d crashed: %s" entry.e_task.Task.t_id why
+            | Verdict.Timeout -> incr timeouts
+            | Verdict.Clean | Verdict.Flagged _ -> ()
+          end;
           (* events first, verdict second *)
           if
             c.Domain_pool.dc_events <> []
@@ -496,7 +500,7 @@ let serve cfg =
           (* [Analysis.service_run] already stored a cacheable report *)
           resolve_entry entry (fun wtr ->
               Proto.Verdict
-                { vd_req = wtr.w_req; vd_cached = false;
+                { vd_req = wtr.w_req; vd_cached = c.Domain_pool.dc_cached;
                   vd_seconds = c.Domain_pool.dc_seconds;
                   vd_report = report }))
       (Domain_pool.drain pool)

@@ -2,12 +2,13 @@
     speaking the {!Proto} request/response protocol.
 
     Where {!Pool.run} answers "run this corpus once", [serve] answers
-    "keep answering analysis requests": workers stay alive, the digest
-    memo and native-summary cache stay warm in-process, and every
+    "keep answering analysis requests": workers stay alive, the warm
+    table and native-summary cache stay warm in-process, and every
     [Submit] frame becomes exactly one terminal response — a [Verdict]
-    (streamed as soon as it exists, cache hits immediately at admission)
-    or a [Shed] when the bounded queue is full.  Overload degrades by
-    refusing loudly, never by stalling or dropping.
+    (streamed as soon as it exists, warm-table hits immediately at
+    admission, disk-cache hits from a worker) or a [Shed] when the
+    bounded queue is full.  Overload degrades by refusing loudly, never
+    by stalling or dropping.
 
     {b Workers.}  The daemon keeps worker domains ({!Domain_pool}) over
     a shared {!Analysis.service}.  Every analysis runs under the work
@@ -17,9 +18,10 @@
     next budget check and answers [Timeout], which is never cached.
 
     {b Single-flight.}  Admission coalesces concurrent misses of one
-    digest: the first [Submit] queues the analysis, colliding ones attach
-    as waiters (answered with a ["coalesced"] [Progress]) and the one
-    verdict fans out to every waiter.  A thundering herd of identical
+    request ({!Analysis.request_key}): the first [Submit] queues the
+    analysis, colliding ones attach as waiters (answered with a
+    ["coalesced"] [Progress]) and the one verdict fans out to every
+    waiter.  A thundering herd of identical
     requests costs one analysis.
 
     Fairness: admission queues each request on its client's
@@ -41,7 +43,8 @@
 type config = {
   s_socket : string;  (** Unix-domain socket path; unlinked on shutdown *)
   s_jobs : int;  (** worker domains *)
-  s_cache : Cache.t option;  (** digest cache kept warm across requests *)
+  s_cache : Cache.t option;
+      (** disk cache, probed by the workers on a warm-table miss *)
   s_depth : int;  (** max queued (not yet dispatched) requests — the
                       admission bound; beyond it, [Shed] *)
   s_max_clients : int;  (** concurrent connections (= queue shards) *)
@@ -70,20 +73,22 @@ type stats = {
   sv_requests : int;  (** [Submit] frames admitted or shed *)
   sv_served : int;  (** terminal [Verdict]s delivered, counting each
                         coalesced waiter (incl. crash/timeout) *)
-  sv_cache_hits : int;  (** verdicts answered at admission, no dispatch *)
+  sv_cache_hits : int;
+      (** entries answered from cache: warm-table hits at admission, plus
+          disk-cache hits a worker returned — no analysis either way *)
   sv_coalesced : int;  (** submits attached to an already-pending entry —
                            requests served minus analyses paid for *)
   sv_analyses : int;  (** analyses actually executed to a terminal state
                           (runs + crashes + timeouts); the single-flight
                           invariant is [sv_served = sv_cache_hits +
                           sv_coalesced + … per-entry fan-out] with one
-                          analysis per distinct in-flight digest *)
+                          analysis per distinct in-flight request *)
   sv_shed : int;  (** requests refused by the depth bound *)
   sv_crashed : int;  (** analyses that answered [Crashed] *)
   sv_timeouts : int;
       (** analyses that answered [Timeout]: budget spent or deadline
           passed *)
-  sv_evictions : int;  (** warm-layer memo evictions over the lifetime *)
+  sv_evictions : int;  (** warm-table evictions over the lifetime *)
   sv_clients : int;  (** connections accepted over the lifetime *)
   sv_subscribers : int;  (** [Subscribe] frames accepted over the lifetime *)
   sv_trace_events : int;

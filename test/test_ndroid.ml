@@ -260,7 +260,9 @@ let test_flow_log_mentions_source_function () =
   Alcotest.(check bool) "SourceHandler logged" true
     (List.exists
        (fun l -> String.length l >= 13 && String.sub l 0 13 = "SourceHandler")
-       o.H.flow_log)
+       (match o.H.analysis with
+        | Some nd -> Flow_log.entries (Ndroid.log nd)
+        | None -> []))
 
 (* ---- GC robustness: the Sec. V-B motivation for iref-keyed taint ---- *)
 

@@ -177,22 +177,29 @@ let tmp_name prefix =
     (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.int 1_000_000))
 
 (* the daemon lives in a sibling domain of the test; the stop hook shuts
-   it down without signals *)
-let with_daemon ?(jobs = 1) ?depth ?max_clients ?deadline f =
+   it down without signals.  Returns [f]'s result and the daemon's stats. *)
+let serve_daemon ?(jobs = 1) ?cache ?depth ?max_clients ?deadline f =
   let socket = tmp_name "ndroid-test-sock" in
   let stop = Atomic.make false in
   let daemon =
     Domain.spawn (fun () ->
         Server.serve
-          (Server.config ~socket ~jobs ?depth ?max_clients ?deadline
+          (Server.config ~socket ~jobs ?cache ?depth ?max_clients ?deadline
              ~stop:(fun () -> Atomic.get stop)
              ()))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      ignore (Domain.join daemon))
-    (fun () -> f socket)
+  let stop_daemon () =
+    Atomic.set stop true;
+    Domain.join daemon
+  in
+  match f socket with
+  | v -> (v, stop_daemon ())
+  | exception e ->
+    ignore (stop_daemon ());
+    raise e
+
+let with_daemon ?jobs ?depth ?max_clients ?deadline f =
+  fst (serve_daemon ?jobs ?depth ?max_clients ?deadline f)
 
 let connect socket =
   match Proto.Client.connect ~retry_for:10.0 socket with
@@ -518,6 +525,71 @@ let test_daemon_oversized_frame () =
       Proto.Client.close bad;
       Proto.Client.close good)
 
+(* a fresh cache directory, removed afterwards *)
+let with_temp_cache f =
+  let dir = tmp_name "ndroid-test-cache" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f (Cache.create ~dir))
+
+(* A daemon over a disk cache a batch sweep filled: its fresh warm table
+   misses at admission, so each request goes to a worker, whose one probe
+   answers it from disk — cached, bit-identical, and no analysis run. *)
+let test_daemon_disk_cache () =
+  let tasks = slice 24 in
+  let n = List.length tasks in
+  with_temp_cache (fun cache ->
+      let batch, _ = Pool.run (Pool.config ~jobs:2 ~cache ()) tasks in
+      let got, st =
+        serve_daemon ~jobs:2 ~cache (fun socket ->
+            let c = connect socket in
+            List.iter (submit c) tasks;
+            let got = reports_in_req_order (collect c n) n in
+            Proto.Client.close c;
+            got)
+      in
+      Alcotest.(check string) "verdicts bit-identical to batch"
+        (json_of batch)
+        (json_of (Array.map fst got));
+      Alcotest.(check bool) "every verdict cached" true
+        (Array.for_all snd got);
+      Alcotest.(check int) "every request a cache hit" n
+        st.Server.sv_cache_hits;
+      Alcotest.(check int) "no analysis ran" 0 st.Server.sv_analyses)
+
+(* Two apps with equal content and different names: each request's report
+   must name its own app, whether the warm table or the disk answers. *)
+let test_same_content_other_name () =
+  let copy_name = "case1-copy" in
+  if Ndroid_apps.Registry.find copy_name = None then
+    Ndroid_apps.Registry.register
+      { Ndroid_apps.Cases.case1 with Ndroid_apps.Harness.app_name = copy_name };
+  let task name =
+    { Task.t_id = 0; t_subject = Task.Bundled name; t_mode = Task.Dynamic;
+      t_fault = None }
+  in
+  let json r = Json.to_string (Verdict.report_to_json r) in
+  let expected = Analysis.run (task copy_name) in
+  Alcotest.(check string) "the analysis names the copy" copy_name
+    expected.Verdict.r_app;
+  let check what (r, _cached) =
+    Alcotest.(check string) (what ^ ": names the copy") copy_name
+      r.Verdict.r_app;
+    Alcotest.(check string) (what ^ ": bytes of Analysis.run") (json expected)
+      (json r)
+  in
+  let sv = Analysis.service () in
+  ignore (Analysis.service_run sv (task "case1"));
+  check "warm table" (Analysis.service_run sv (task copy_name));
+  with_temp_cache (fun cache ->
+      ignore (Analysis.service_run (Analysis.service ~cache ()) (task "case1"));
+      check "disk cache"
+        (Analysis.service_run (Analysis.service ~cache ()) (task copy_name)))
+
 let suite =
   [ Alcotest.test_case "proto: messages roundtrip the wire" `Quick
       test_proto_roundtrip;
@@ -552,4 +624,8 @@ let suite =
     Alcotest.test_case "proto: a kill fault is refused" `Quick
       test_proto_refuses_kill;
     Alcotest.test_case "daemon: an oversized frame closes only its client"
-      `Quick test_daemon_oversized_frame ]
+      `Quick test_daemon_oversized_frame;
+    Alcotest.test_case "daemon: a disk cache answers through the workers"
+      `Quick test_daemon_disk_cache;
+    Alcotest.test_case "service: equal content, other name, own report"
+      `Quick test_same_content_other_name ]
