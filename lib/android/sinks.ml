@@ -14,6 +14,8 @@ let sink_catalog =
     (fos_cls, "writeFile");
     (log_cls, "i") ]
 
+let is_sink cls m = List.exists (fun (c, n) -> c = cls && n = m) sink_catalog
+
 let install vm net fs monitor =
   let intr = Vm.register_intrinsic vm in
   Vm.define_class vm

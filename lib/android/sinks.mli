@@ -13,3 +13,6 @@ val install :
 
 val sink_catalog : (string * string) list
 (** (class, method) of every Java-context sink. *)
+
+val is_sink : string -> string -> bool
+(** Is class [cls]'s method [m] in {!sink_catalog}? *)

@@ -27,6 +27,11 @@ let source_catalog =
     (location, "getLatitude", Taint.location_gps);
     (location, "getLongitude", Taint.location_gps) ]
 
+let tag_of cls m =
+  List.find_map
+    (fun (c, n, tag) -> if c = cls && n = m then Some tag else None)
+    source_catalog
+
 let install vm profile =
   let intr = Vm.register_intrinsic vm in
   let str tag s = fun vm (_ : Vm.tval array) -> Vm.new_string vm ~taint:tag s in

@@ -13,3 +13,6 @@ val install : Ndroid_dalvik.Vm.t -> Device_profile.t -> unit
 val source_catalog : (string * string * Ndroid_taint.Taint.t) list
 (** Every source method as (class, method, tag) — the system's "taint
     source" configuration, used by documentation and tests. *)
+
+val tag_of : string -> string -> Ndroid_taint.Taint.t option
+(** The catalogued tag of class [cls]'s method [m], if it is a source. *)

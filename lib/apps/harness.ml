@@ -75,8 +75,6 @@ let boot_cost () =
   in
   (a1 -. a0, direct_major)
 
-let contains_substring = Flow_log.contains
-
 let run ?obs ?(summaries = false) ?focus mode app =
   let device = boot app in
   let ndroid =
@@ -102,7 +100,7 @@ let run ?obs ?(summaries = false) ?focus mode app =
     List.exists
       (fun l ->
         Taint.is_tainted l.A.Sink_monitor.taint
-        && contains_substring l.A.Sink_monitor.sink app.expected_sink)
+        && Flow_log.contains l.A.Sink_monitor.sink app.expected_sink)
       leaks
   in
   { mode;

@@ -32,7 +32,8 @@ val count : t -> int
 (** Renderable events ever recorded (survives ring wraparound). *)
 
 val contains : string -> string -> bool
-(** [contains hay needle] — substring test shared with the harness. *)
+(** [contains hay needle] — the one substring test: log entries here,
+    sink names in the harness and the static analyzer. *)
 
 val matching : t -> string -> string list
 (** Entries containing a substring. *)

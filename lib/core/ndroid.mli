@@ -54,7 +54,7 @@ val attach :
     [use_superblocks] is kept for the benchmark harness, which builds
     against it: superblock translation was removed, and [true] raises
     [Invalid_argument]; [use_summaries] (default [false]) lets the JNI bridge apply
-    digest-cached native taint summaries instead of emulating exact
+    the native taint summaries derived when each library loaded instead of emulating exact
     function bodies; [trace_filter] overrides which addresses the
     instruction tracer covers (default: the third-party app library region
     only); [obs] supplies the observability hub backing the flow log, the

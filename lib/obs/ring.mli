@@ -76,7 +76,7 @@ val emit_host_enter : t -> string -> unit
 val emit_host_leave : t -> string -> unit
 
 val emit_summary_apply : t -> name:string -> taint:int -> unit
-(** A cached native taint summary was applied in place of emulating the
+(** A native taint summary was applied in place of emulating the
     function body ([name] = native method, [taint] = resulting return
     taint bits). *)
 

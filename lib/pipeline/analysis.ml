@@ -32,16 +32,6 @@ let feature_key =
   Printf.sprintf "summaries=%b;focus=slice;budget=%d" use_summaries
     work_budget
 
-let enable_summary_cache cache =
-  (* Native taint summaries persist as raw entries beside the verdict
-     reports, keyed by library digest: a re-run over an unchanged corpus
-     skips re-deriving them, and any change to a library's code bytes
-     changes the digest and misses cleanly. *)
-  Ndroid_summary.Summary.set_persistence
-    ~load:(fun digest -> Cache.find_raw cache ~key:("summary-" ^ digest))
-    ~save:(fun digest data ->
-      Cache.store_raw cache ~key:("summary-" ^ digest) data)
-
 let crashed_report ~app ~analysis why =
   { Verdict.r_app = app; r_analysis = analysis; r_verdict = Verdict.Crashed why;
     r_meta = [] }
@@ -371,7 +361,6 @@ type service = {
 let default_capacity = 65536
 
 let service ?cache ?(capacity = default_capacity) () =
-  (match cache with Some c -> enable_summary_cache c | None -> ());
   { sv_cache = cache;
     sv_lock = Mutex.create ();
     sv_memo = memo_create capacity;

@@ -22,11 +22,6 @@ val feature_key : string
     and {!work_budget}, folded into every cache key so changing one
     invalidates exactly the results it could change. *)
 
-val enable_summary_cache : Cache.t -> unit
-(** Persist native taint summaries as raw entries in [cache], keyed
-    ["summary-<library digest>"].  Call once before running tasks; the
-    pool does this automatically when configured with a cache. *)
-
 val run : ?obs:Ndroid_obs.Ring.t -> Task.t -> Ndroid_report.Verdict.report
 (** Analyze one task under a fresh {!work_budget}.  Never raises: an
     analyzer exception becomes a [Crashed] verdict carrying the exception
@@ -67,9 +62,9 @@ val request_key : Task.t -> string
 type service
 
 val service : ?cache:Cache.t -> ?capacity:int -> unit -> service
-(** Also installs the native-summary persistence hooks on [cache]
-    ({!enable_summary_cache}).  [capacity] bounds the warm table
-    (default 65536). *)
+(** [cache] is the disk layer, holding verdicts only; [capacity] bounds
+    the warm table (default 65536).  A service sets no process-wide
+    state, so services with different caches (or none) coexist. *)
 
 val service_run :
   service -> ?obs:Ndroid_obs.Ring.t -> ?cancel:bool Atomic.t -> Task.t ->

@@ -68,27 +68,5 @@ let store t ~key report =
     close_out_noerr oc;
     (try Sys.rename tmp final with Sys_error _ -> ())
 
-(* Raw side entries (native taint summaries, keyed by library digest):
-   opaque blobs in the same directory under their own key namespace, with
-   the same tmp + rename write discipline and the same hit/miss
-   accounting. *)
-
-let find_raw t ~key =
-  let result = read_file (path t key) in
-  (match result with
-   | Some _ -> Atomic.incr t.hits
-   | None -> Atomic.incr t.misses);
-  result
-
-let store_raw t ~key data =
-  let final = path t key in
-  let tmp = tmp_name final in
-  match open_out_bin tmp with
-  | exception Sys_error _ -> ()
-  | oc ->
-    output_string oc data;
-    close_out_noerr oc;
-    (try Sys.rename tmp final with Sys_error _ -> ())
-
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses

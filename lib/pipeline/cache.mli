@@ -1,6 +1,6 @@
 (** On-disk result cache.
 
-    One canonical-JSON report per file, named by the task's
+    Verdicts only: one canonical-JSON report per file, named by the task's
     {!Analysis.digest} — app name and content + analysis mode + analyzer
     version — so a re-run of an unchanged corpus under an unchanged binary
     answers from disk, and any change to app, mode or analyzer misses
@@ -19,14 +19,6 @@ val create : dir:string -> t
 val find : t -> key:string -> Ndroid_report.Verdict.report option
 val store : t -> key:string -> Ndroid_report.Verdict.report -> unit
 
-val find_raw : t -> key:string -> string option
-(** A raw side entry (e.g. a native taint summary keyed by library
-    digest): the blob as stored, no verdict decoding.  Counts toward
-    {!hits}/{!misses}. *)
-
-val store_raw : t -> key:string -> string -> unit
-(** Store a raw side entry under [key], atomically (temp file +
-    rename), like {!store}. *)
-
 val hits : t -> int
 val misses : t -> int
+(** Verdict probes through {!find} that were answered / missed. *)

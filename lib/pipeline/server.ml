@@ -83,7 +83,8 @@ type client = {
   cl_gen : int;
   cl_fd : Unix.file_descr;
   cl_reader : Wire.reader;
-  mutable cl_out : string;  (* encoded frames not yet written *)
+  cl_out : Buffer.t;  (* encoded frames; those before [cl_sent] are written *)
+  mutable cl_sent : int;
   mutable cl_closing : bool;  (* close once cl_out drains *)
   mutable cl_sub : sub option;  (* live trace subscription, if any *)
 }
@@ -97,6 +98,9 @@ type running = {
 }
 
 let now () = Unix.gettimeofday ()
+
+(* bytes queued for a client and not yet written *)
+let unwritten c = Buffer.length c.cl_out - c.cl_sent
 
 let serve cfg =
   let log fmt =
@@ -140,6 +144,7 @@ let serve cfg =
   let pool = Domain_pool.create ~domains:cfg.s_jobs ~service () in
   let running : running option array = Array.make cfg.s_jobs None in
   (* ---- client output: buffered, non-blocking ---- *)
+  let out_chunk = Bytes.create 65536 in
   let waiter_live (w : waiter) =
     match clients.(w.w_slot) with
     | Some c -> c.cl_gen = w.w_gen
@@ -191,21 +196,36 @@ let serve cfg =
            c.cl_slot (List.length dropped) !rehomed
      | _ -> ());
     try Unix.close c.cl_fd with Unix.Unix_error _ -> ()
+  (* Writes through one chunk-sized scratch until the socket is full, then
+     drops the written prefix once it outweighs the rest — so queueing and
+     writing cost time linear in the bytes, however far the client lags. *)
   and flush_client (c : client) =
-    if c.cl_out <> "" then begin
-      let len = String.length c.cl_out in
-      match Unix.write_substring c.cl_fd c.cl_out 0 len with
-      | n -> c.cl_out <- String.sub c.cl_out n (len - n)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-      | exception Unix.Unix_error _ -> client_gone c
+    (try
+       while unwritten c > 0 do
+         let n = min (unwritten c) (Bytes.length out_chunk) in
+         Buffer.blit c.cl_out c.cl_sent out_chunk 0 n;
+         let w = Unix.write c.cl_fd out_chunk 0 n in
+         c.cl_sent <- c.cl_sent + w;
+         if w < n then raise_notrace Exit
+       done
+     with
+     | Exit | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+     | Unix.Unix_error _ -> client_gone c);
+    if c.cl_sent > 0 && 2 * c.cl_sent >= Buffer.length c.cl_out then begin
+      let rest = Buffer.sub c.cl_out c.cl_sent (unwritten c) in
+      Buffer.clear c.cl_out;
+      Buffer.add_string c.cl_out rest;
+      c.cl_sent <- 0
     end;
-    if c.cl_out = "" && c.cl_closing then client_gone c
+    if unwritten c = 0 && c.cl_closing then client_gone c
+  (* Bytes already waiting mean the socket was full at the last try: the
+     select loop writes them once it drains. *)
+  and append_frame (c : client) frame =
+    let idle = unwritten c = 0 in
+    Buffer.add_bytes c.cl_out frame;
+    if idle then flush_client c
   and queue_out (c : client) msg =
-    if not c.cl_closing then begin
-      c.cl_out <- c.cl_out ^ Bytes.to_string (Proto.to_frame msg);
-      flush_client c
-    end
+    if not c.cl_closing then append_frame c (Proto.to_frame msg)
   and deliver_waiter (w : waiter) msg =
     match clients.(w.w_slot) with
     | Some c when c.cl_gen = w.w_gen -> queue_out c msg
@@ -228,12 +248,10 @@ let serve cfg =
   let queue_trace (c : client) msg =
     if c.cl_closing then false
     else begin
-      let frame = Bytes.unsafe_to_string (Proto.to_frame msg) in
-      if String.length c.cl_out + String.length frame > cfg.s_stream_buf then
-        false
+      let frame = Proto.to_frame msg in
+      if unwritten c + Bytes.length frame > cfg.s_stream_buf then false
       else begin
-        c.cl_out <- c.cl_out ^ frame;
-        flush_client c;
+        append_frame c frame;
         true
       end
     end
@@ -523,7 +541,8 @@ let serve cfg =
           clients.(slot) <-
             Some
               { cl_slot = slot; cl_gen = !next_gen; cl_fd = fd;
-                cl_reader = Wire.create_reader (); cl_out = "";
+                cl_reader = Wire.create_reader ();
+                cl_out = Buffer.create 4096; cl_sent = 0;
                 cl_closing = false; cl_sub = None };
           log "client %d connected" slot;
           loop ())
@@ -545,7 +564,7 @@ let serve cfg =
       (function
         | Some c ->
           if not c.cl_closing then rfds := c.cl_fd :: !rfds;
-          if c.cl_out <> "" then wfds := c.cl_fd :: !wfds
+          if unwritten c > 0 then wfds := c.cl_fd :: !wfds
         | None -> ())
       clients;
     let next_deadline =

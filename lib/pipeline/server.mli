@@ -3,7 +3,7 @@
 
     Where {!Pool.run} answers "run this corpus once", [serve] answers
     "keep answering analysis requests": workers stay alive, the warm
-    table and native-summary cache stay warm in-process, and every
+    table stays warm in-process, and every
     [Submit] frame becomes exactly one terminal response — a [Verdict]
     (streamed as soon as it exists, warm-table hits immediately at
     admission, disk-cache hits from a worker) or a [Shed] when the

@@ -198,10 +198,11 @@ let load_library d name =
     let prog = Hashtbl.find d.available_libs name in
     Machine.load_program d.d_machine prog;
     Hashtbl.replace d.loaded_libs name prog;
-    (* summarize the image now (cheap, digest-cached); whether the bridge
-       uses the summaries is a separate switch *)
+    (* summarize the image now (a few microseconds per library, derived
+       afresh on every load); whether the bridge uses the summaries is a
+       separate switch *)
     Hashtbl.replace d.lib_summaries name
-      (Summary.derive_cached (Machine.mem d.d_machine) prog);
+      (Summary.derive (Machine.mem d.d_machine) prog);
     List.iter
       (fun (sym, _addr) -> Hashtbl.replace d.symbols sym (Asm.fn_addr prog sym))
       (Asm.symbols prog);

@@ -90,7 +90,9 @@ val provide_library : t -> string -> Ndroid_arm.Asm.program -> unit
     {!load_library}. *)
 
 val load_library : t -> string -> unit
-(** Load a provided library now (maps it and registers its symbols).
+(** Load a provided library now: map it, derive its native taint
+    summaries from the mapped image ({!Ndroid_summary.Summary.derive}),
+    register its symbols and run its [JNI_OnLoad], if any.
     @raise Not_found if never provided. *)
 
 val native_symbol : t -> string -> int
@@ -106,8 +108,8 @@ val run : t -> string -> string -> Vm.tval array -> Vm.tval
 (** {1 Analysis plug points} *)
 
 val set_use_summaries : t -> bool -> unit
-(** Let the JNI bridge apply cached native taint summaries instead of
-    emulating exact function bodies (off by default: the emulated path is
+(** Let the JNI bridge apply the loaded libraries' native taint summaries
+    instead of emulating exact function bodies (off by default: the emulated path is
     the reference semantics). *)
 
 val use_summaries : t -> bool

@@ -32,19 +32,10 @@ type verdict = {
   v_xir_edges : int;
 }
 
-let unions = List.fold_left T.union T.clear
-
 (* FindClass takes "com/example/Leak"; the class table keys are
    "Lcom/example/Leak;" *)
 let normalize_class_sig cls =
   if String.length cls > 0 && cls.[0] = 'L' then cls else "L" ^ cls ^ ";"
-
-let source_tag cls m =
-  List.find_map
-    (fun (c, n, tag) -> if c = cls && n = m then Some tag else None)
-    Sources.source_catalog
-
-let is_sink cls m = List.exists (fun (c, n) -> c = cls && n = m) Sinks.sink_catalog
 
 let max_rounds = 8
 
@@ -83,7 +74,7 @@ let analyze ?classification input =
       match bind_native sym with
       | None ->
         (* unbound native method: assume it can return its arguments *)
-        T.union (unions argts) ctrl
+        T.union (T.unions argts) ctrl
       | Some (lib, addr) ->
         let params, this_t =
           if def.Classes.m_static then (argts, T.clear)
@@ -93,7 +84,7 @@ let analyze ?classification input =
         let nth i = match List.nth_opt params i with Some t -> t | None -> T.clear in
         let stack_ts =
           if List.length params > 2 then
-            unions (List.filteri (fun i _ -> i >= 2) params)
+            T.unions (List.filteri (fun i _ -> i >= 2) params)
           else T.clear
         in
         let j t = T.union t ctrl in
@@ -105,24 +96,24 @@ let analyze ?classification input =
         in
         nat_stack := List.tl !nat_stack;
         r)
-    | _ -> T.union (unions argts) ctrl
+    | _ -> T.union (T.unions argts) ctrl
   and upcall cls m argts =
     let cls = normalize_class_sig cls in
     let in_native f =
       match !nat_stack with (lib, entry) :: _ -> f ~lib ~entry | [] -> ()
     in
-    match source_tag cls m with
+    match Sources.tag_of cls m with
     | Some tag ->
       in_native (fun ~lib ~entry ->
           Xir_build.record_upcall_source facts ~lib ~entry ~cls ~m);
       tag
     | None ->
-      if is_sink cls m then begin
+      if Sinks.is_sink cls m then begin
         in_native (fun ~lib ~entry ->
             Xir_build.record_upcall_sink facts ~lib ~entry
               ~sink:(Dex_flow.short_sink_name cls m)
               ~site:(cls ^ "->" ^ m ^ " (upcall)"));
-        let leak = unions argts in
+        let leak = T.unions argts in
         if T.is_tainted leak then
           record
             { Flow.f_taint = leak; f_sink = Dex_flow.short_sink_name cls m;
@@ -137,8 +128,8 @@ let analyze ?classification input =
               Xir_build.record_upcall facts ~lib ~entry ~cls ~m);
           match !dex_ctx with
           | Some ctx -> Dex_flow.analyze_method ctx callee argts
-          | None -> unions argts)
-        | None -> unions argts)
+          | None -> T.unions argts)
+        | None -> T.unions argts)
   and env =
     { Native_flow.e_resolve = input.in_resolve; e_upcall = upcall;
       e_record = record }
@@ -272,21 +263,10 @@ let analyze_apk (apk : Apk.t) =
     { in_name = apk.Apk.apk_package; in_classes = classes; in_libs = libs;
       in_entries = []; in_resolve = (fun _ -> None) }
 
-let contains_substring hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  if nl = 0 then true
-  else begin
-    let found = ref false in
-    for i = 0 to hl - nl do
-      if (not !found) && String.sub hay i nl = needle then found := true
-    done;
-    !found
-  end
-
 let flows v = Ndroid_report.Verdict.flows v.v_result
 let flagged v = Ndroid_report.Verdict.flagged v.v_result
 
 let flagged_at v needle =
   List.exists
-    (fun (f : Flow.t) -> contains_substring f.Flow.f_sink needle)
+    (fun (f : Flow.t) -> Ndroid_core.Flow_log.contains f.Flow.f_sink needle)
     (flows v)

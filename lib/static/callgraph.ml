@@ -15,17 +15,8 @@ type t = {
   g_sink_sites : (node * string) list;
 }
 
-let is_load_call (mref : B.method_ref) =
-  mref.B.m_class = "Ljava/lang/System;"
-  && (mref.B.m_name = "loadLibrary" || mref.B.m_name = "load")
-
-let source_tag cls name =
-  List.find_map
-    (fun (c, m, tag) -> if c = cls && m = name then Some tag else None)
-    Sources.source_catalog
-
-let is_sink cls name =
-  List.exists (fun (c, m) -> c = cls && m = name) Sinks.sink_catalog
+let is_load_call cls m =
+  cls = "Ljava/lang/System;" && (m = "loadLibrary" || m = "load")
 
 let build classes =
   let methods = Hashtbl.create 64 in
@@ -49,11 +40,11 @@ let build classes =
           (function
             | B.Invoke (_, mref, _) -> (
               let callee = (mref.B.m_class, mref.B.m_name) in
-              if is_load_call mref then load_sites := node :: !load_sites;
-              (match source_tag mref.B.m_class mref.B.m_name with
+              if is_load_call mref.B.m_class mref.B.m_name then load_sites := node :: !load_sites;
+              (match Sources.tag_of mref.B.m_class mref.B.m_name with
                | Some tag -> source_sites := (node, tag) :: !source_sites
                | None -> ());
-              if is_sink mref.B.m_class mref.B.m_name then
+              if Sinks.is_sink mref.B.m_class mref.B.m_name then
                 sink_sites :=
                   (node, mref.B.m_class ^ "->" ^ mref.B.m_name) :: !sink_sites;
               match Hashtbl.find_opt methods callee with

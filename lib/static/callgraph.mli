@@ -30,6 +30,9 @@ val native_sites : t -> (node * string) list
 val load_sites : t -> node list
 (** Methods containing a [System.loadLibrary]/[System.load] call. *)
 
+val is_load_call : string -> string -> bool
+(** Is class [cls]'s method [m] [System.loadLibrary] or [System.load]? *)
+
 val source_sites : t -> (node * Ndroid_taint.Taint.t) list
 (** Call sites of catalogued privacy sources, with their taint tag. *)
 

@@ -32,8 +32,6 @@ let clear_changed ctx = ctx.dx_changed <- false
 let loads_library ctx = ctx.dx_loads
 let native_site_visits ctx = ctx.dx_native_visits
 
-let unions = List.fold_left T.union T.clear
-
 let short_sink_name cls m =
   let s = cls in
   let s =
@@ -47,16 +45,6 @@ let short_sink_name cls m =
     | None -> s
   in
   s ^ "." ^ m
-
-let source_tag cls m =
-  List.find_map
-    (fun (c, n, tag) -> if c = cls && n = m then Some tag else None)
-    Sources.source_catalog
-
-let is_sink cls m = List.exists (fun (c, n) -> c = cls && n = m) Sinks.sink_catalog
-
-let is_load_call cls m =
-  cls = "Ljava/lang/System;" && (m = "loadLibrary" || m = "load")
 
 let grow_field ctx key t =
   let cur =
@@ -87,10 +75,10 @@ let rec analyze_method ctx (def : Classes.method_def) args =
   | Classes.Native _ ->
     ctx.dx_native_visits <- ctx.dx_native_visits + 1;
     ctx.dx_native_call def args ~ctrl:T.clear
-  | Classes.Intrinsic _ -> unions args
+  | Classes.Intrinsic _ -> T.unions args
   | Classes.Bytecode (code, handlers) ->
     let node = (def.Classes.m_class, def.Classes.m_name) in
-    if List.mem node ctx.dx_stack then unions args
+    if List.mem node ctx.dx_stack then T.unions args
     else begin
       let key = (Classes.qualified_name def, List.map T.to_bits args) in
       match Hashtbl.find_opt ctx.dx_memo key with
@@ -166,25 +154,25 @@ and run_bytecode ctx (def : Classes.method_def) code handlers args =
          | B.Move_result r -> set r (T.union st.(res_slot) ctrl)
          | B.Move_exception r -> set r (T.union ctx.dx_ex ctrl)
          | B.Return_void -> ()
-         | B.Return r -> ret := unions [ !ret; t r; ctrl ]
+         | B.Return r -> ret := T.unions [ !ret; t r; ctrl ]
          | B.Binop (_, d, a, b) | B.Binop_wide (_, d, a, b)
          | B.Binop_float (_, d, a, b) | B.Binop_double (_, d, a, b)
-         | B.Cmp_long (d, a, b) -> set d (unions [ t a; t b; ctrl ])
+         | B.Cmp_long (d, a, b) -> set d (T.unions [ t a; t b; ctrl ])
          | B.Binop_lit (_, d, s, _) | B.Unop (_, d, s) ->
            set d (T.union (t s) ctrl)
          | B.If (_, a, b, _) ->
-           st'.(ctrl_slot) <- unions [ ctrl; t a; t b ]
+           st'.(ctrl_slot) <- T.unions [ ctrl; t a; t b ]
          | B.Ifz (_, a, _) -> st'.(ctrl_slot) <- T.union ctrl (t a)
          | B.Packed_switch (s, _, _) | B.Sparse_switch (s, _) ->
            st'.(ctrl_slot) <- T.union ctrl (t s)
          | B.New_array (d, sz, _) -> set d (T.union (t sz) ctrl)
          | B.Array_length (d, a) -> set d (T.union (t a) ctrl)
          | B.Aget (d, arr, idx) ->
-           set d (unions [ ctx.dx_arrays; t arr; t idx; ctrl ])
+           set d (T.unions [ ctx.dx_arrays; t arr; t idx; ctrl ])
          | B.Aput (v, arr, idx) ->
-           grow_arrays ctx (unions [ t v; t arr; t idx; ctrl ])
+           grow_arrays ctx (T.unions [ t v; t arr; t idx; ctrl ])
          | B.Iget (d, o, f) ->
-           set d (unions [ field_taint ctx (f.B.f_class, f.B.f_name); t o; ctrl ])
+           set d (T.unions [ field_taint ctx (f.B.f_class, f.B.f_name); t o; ctrl ])
          | B.Iput (v, _, f) ->
            grow_field ctx (f.B.f_class, f.B.f_name) (T.union (t v) ctrl)
          | B.Sget (d, f) ->
@@ -197,11 +185,11 @@ and run_bytecode ctx (def : Classes.method_def) code handlers args =
          | B.Invoke (_, mref, regs) -> (
            let cls = mref.B.m_class and m = mref.B.m_name in
            let argts = List.map (fun r -> T.union (t r) ctrl) regs in
-           let au = unions argts in
-           match source_tag cls m with
+           let au = T.unions argts in
+           match Sources.tag_of cls m with
            | Some tag -> set_result (T.union tag ctrl)
            | None ->
-             if is_sink cls m then begin
+             if Sinks.is_sink cls m then begin
                let leak = T.union au ctrl in
                if T.is_tainted leak then
                  ctx.dx_record
@@ -210,7 +198,7 @@ and run_bytecode ctx (def : Classes.method_def) code handlers args =
                      f_site = Classes.qualified_name def; f_hops = [] };
                set_result ctrl
              end
-             else if is_load_call cls m then begin
+             else if Callgraph.is_load_call cls m then begin
                ctx.dx_loads <- true;
                set_result ctrl
              end

@@ -71,8 +71,6 @@ let join a b =
   if not (T.equal ctrl a.st_ctrl) then changed := true;
   ({ st_regs = regs; st_consts = consts; st_vfp = vfp; st_ctrl = ctrl }, !changed)
 
-let unions = List.fold_left T.union T.clear
-
 let set_mem actx t =
   if not (T.subset t actx.a_lib.nf_mem) then begin
     actx.a_lib.nf_mem <- T.union actx.a_lib.nf_mem t;
@@ -128,9 +126,9 @@ let host_effect actx ~site st name =
   let t i = st.st_regs.(i) in
   let mem () = actx.a_lib.nf_mem in
   let ctrl = st.st_ctrl in
-  let args4 = unions [ t 0; t 1; t 2; t 3 ] in
+  let args4 = T.unions [ t 0; t 1; t 2; t 3 ] in
   if Syscalls.is_sink name then begin
-    let leak = unions [ args4; mem (); ctrl ] in
+    let leak = T.unions [ args4; mem (); ctrl ] in
     if T.is_tainted leak then
       actx.a_env.e_record
         { Flow.f_taint = leak; f_sink = name; f_context = Flow.Native_ctx;
@@ -155,7 +153,7 @@ let host_effect actx ~site st name =
       | _ -> (ctrl, Unknown))
     | "NewStringUTF" | "NewString" ->
       (* the chars pointer's pointee lives in library memory *)
-      (unions [ t 1; mem (); ctrl ], Unknown)
+      (T.unions [ t 1; mem (); ctrl ], Unknown)
     | "GetStringUTFChars" | "GetStringChars" | "GetStringUTFLength"
     | "GetStringLength" | "GetStringUTFRegion" | "GetStringRegion" ->
       (T.union (t 1) ctrl, Unknown)
@@ -164,7 +162,7 @@ let host_effect actx ~site st name =
       match st.st_consts.(2) with
       | Mid (cls, m) ->
         (T.union (actx.a_env.e_upcall cls m [ t 3 ]) ctrl, Unknown)
-      | _ -> (unions [ t 1; t 2; t 3; mem (); ctrl ], Unknown))
+      | _ -> (T.unions [ t 1; t 2; t 3; mem (); ctrl ], Unknown))
     | _ when List.mem name clean_fns -> (ctrl, Unknown)
     | _ ->
       (* any other modeled function may store its arguments *)
@@ -177,7 +175,7 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
   let mem () = actx.a_lib.nf_mem in
   if Hashtbl.mem actx.a_in_progress entry then
     (* recursion: sound summary of anything the callee could return *)
-    T.union (unions args) (T.union (mem ()) ctrl)
+    T.union (T.unions args) (T.union (mem ()) ctrl)
   else begin
     Hashtbl.replace actx.a_in_progress entry ();
     let site =
@@ -207,7 +205,7 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
           Queue.add addr work
         end
     in
-    let record_exit st = ret := unions [ !ret; st.st_regs.(0); st.st_ctrl ] in
+    let record_exit st = ret := T.unions [ !ret; st.st_regs.(0); st.st_ctrl ] in
     let invalidate_call_consts st r0 =
       st.st_consts.(0) <- r0;
       st.st_consts.(1) <- Unknown;
@@ -226,9 +224,9 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
           | Some name -> host_effect actx ~site st name
           | None ->
             (* unknown target: assume it stores and returns its arguments *)
-            let at = unions args in
+            let at = T.unions args in
             set_mem actx (T.union at st.st_ctrl);
-            (unions [ at; mem (); st.st_ctrl ], Unknown)
+            (T.unions [ at; mem (); st.st_ctrl ], Unknown)
       in
       st.st_regs.(0) <- T.union rett st.st_ctrl;
       invalidate_call_consts st r0c
@@ -258,10 +256,10 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
         (match st.st_consts.(rm) with
          | Const a -> call_addr st' a
          | _ ->
-           let at = unions [ st.st_regs.(0); st.st_regs.(1); st.st_regs.(2);
+           let at = T.unions [ st.st_regs.(0); st.st_regs.(1); st.st_regs.(2);
                              st.st_regs.(3) ] in
            set_mem actx (T.union at st.st_ctrl);
-           st'.st_regs.(0) <- unions [ at; mem (); st.st_ctrl ];
+           st'.st_regs.(0) <- T.unions [ at; mem (); st.st_ctrl ];
            invalidate_call_consts st' Unknown);
         finish st'
       | Insn.Bx { link = false; rm; _ } ->
@@ -280,7 +278,7 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
         List.iter
           (fun r ->
             if r <> 15 then begin
-              st'.st_regs.(r) <- unions [ mem (); base_t; stack_t; st.st_ctrl ];
+              st'.st_regs.(r) <- T.unions [ mem (); base_t; stack_t; st.st_ctrl ];
               st'.st_consts.(r) <- Unknown
             end)
           (Insn.regs_of_mask regs);
@@ -307,7 +305,7 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
           | Insn.Off_imm _ -> T.clear
         in
         let stack_t = if rn = 13 then actx.a_stack else T.clear in
-        let v = unions [ mem (); st.st_regs.(rn); off_t; stack_t; st.st_ctrl ] in
+        let v = T.unions [ mem (); st.st_regs.(rn); off_t; stack_t; st.st_ctrl ] in
         if rd = 15 then record_exit st
         else begin
           let st' = copy_state st in
@@ -335,35 +333,35 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
           (* flags computed from tainted data: every subsequent write is
              control-dependent on the data (the evasion-app rule) *)
           let st' = copy_state st in
-          st'.st_ctrl <- unions [ st.st_ctrl; rnt; o2t ];
+          st'.st_ctrl <- T.unions [ st.st_ctrl; rnt; o2t ];
           finish st'
         end
         else begin
           let st' = copy_state st in
-          if s then st'.st_ctrl <- unions [ st.st_ctrl; rnt; o2t ];
+          if s then st'.st_ctrl <- T.unions [ st.st_ctrl; rnt; o2t ];
           if rd = 15 then record_exit st
           else begin
-            st'.st_regs.(rd) <- unions [ rnt; o2t; st.st_ctrl ];
+            st'.st_regs.(rd) <- T.unions [ rnt; o2t; st.st_ctrl ];
             st'.st_consts.(rd) <- const_eval st op rn op2;
             finish st'
           end
         end
       | Insn.Mul { s; rd; rm; rs; _ } ->
         let st' = copy_state st in
-        if s then st'.st_ctrl <- unions [ st.st_ctrl; st.st_regs.(rm); st.st_regs.(rs) ];
-        st'.st_regs.(rd) <- unions [ st.st_regs.(rm); st.st_regs.(rs); st.st_ctrl ];
+        if s then st'.st_ctrl <- T.unions [ st.st_ctrl; st.st_regs.(rm); st.st_regs.(rs) ];
+        st'.st_regs.(rd) <- T.unions [ st.st_regs.(rm); st.st_regs.(rs); st.st_ctrl ];
         st'.st_consts.(rd) <- Unknown;
         finish st'
       | Insn.Mla { s; rd; rm; rs; rn; _ } ->
         let st' = copy_state st in
-        let v = unions [ st.st_regs.(rm); st.st_regs.(rs); st.st_regs.(rn); st.st_ctrl ] in
+        let v = T.unions [ st.st_regs.(rm); st.st_regs.(rs); st.st_regs.(rn); st.st_ctrl ] in
         if s then st'.st_ctrl <- T.union st.st_ctrl v;
         st'.st_regs.(rd) <- v;
         st'.st_consts.(rd) <- Unknown;
         finish st'
       | Insn.Mull { s; rdlo; rdhi; rm; rs; _ } ->
         let st' = copy_state st in
-        let v = unions [ st.st_regs.(rm); st.st_regs.(rs); st.st_ctrl ] in
+        let v = T.unions [ st.st_regs.(rm); st.st_regs.(rs); st.st_ctrl ] in
         if s then st'.st_ctrl <- T.union st.st_ctrl v;
         st'.st_regs.(rdlo) <- v;
         st'.st_regs.(rdhi) <- v;
@@ -379,7 +377,7 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
       | Insn.Vdp _ | Insn.Vcvt _ | Insn.Vcvt_int _ -> finish (copy_state st)
       | Insn.Vmem { load = true; _ } ->
         let st' = copy_state st in
-        st'.st_vfp <- unions [ st.st_vfp; mem (); st.st_ctrl ];
+        st'.st_vfp <- T.unions [ st.st_vfp; mem (); st.st_ctrl ];
         finish st'
       | Insn.Vmem { load = false; _ } ->
         set_mem actx (T.union st.st_vfp st.st_ctrl);
@@ -410,7 +408,7 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
     done;
     if actx.a_fuel <= 0 then
       (* ran out of budget: stay sound by over-approximating the result *)
-      ret := unions (!ret :: mem () :: ctrl :: args);
+      ret := T.unions (!ret :: mem () :: ctrl :: args);
     Hashtbl.remove actx.a_in_progress entry;
     !ret
   end

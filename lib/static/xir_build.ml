@@ -110,16 +110,16 @@ let build ~cg ~(bind : string -> string option)
             match insn with
             | B.Invoke (_, mref, _) -> (
               let mcls = mref.B.m_class and mm = mref.B.m_name in
-              match Dex_flow.source_tag mcls mm with
+              match Ndroid_android.Sources.tag_of mcls mm with
               | Some _ ->
                 Xir.add_edge g
                   (Xir.Source (qname, mcls ^ "->" ^ mm))
                   Xir.Src (dnode pc)
               | None ->
-                if Dex_flow.is_sink mcls mm then
+                if Ndroid_android.Sinks.is_sink mcls mm then
                   Xir.add_edge g (dnode pc) Xir.Snk
                     (Xir.Sink (Dex_flow.short_sink_name mcls mm, qname))
-                else if Dex_flow.is_load_call mcls mm then
+                else if Callgraph.is_load_call mcls mm then
                   List.iter
                     (fun lib ->
                       let c =

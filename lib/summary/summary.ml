@@ -6,7 +6,6 @@ module Asm = Ndroid_arm.Asm
 module Taint = Ndroid_taint.Taint
 module Taint_engine = Ndroid_emulator.Taint_engine
 module Layout = Ndroid_emulator.Layout
-module Json = Ndroid_report.Json
 
 (* Per-exported-function native taint summaries.
 
@@ -17,12 +16,13 @@ module Json = Ndroid_report.Json
    body has data-dependent control flow, memory traffic, stack discipline,
    or upcalls, and the JNI bridge must run it under the emulator as before.
 
-   Summaries are derived once per library image, keyed by a digest of its
-   bytes, and survive across runs through a pluggable persistence hook (the
-   pipeline's result cache).  A runtime write into the library's image
-   marks the whole library dirty, after which every summary in it is
-   rejected and calls fall back to emulation (self-modifying / decrypting
-   native code). *)
+   Summaries are derived from the loaded image each time a library is
+   loaded: decoding and classifying every export is cheaper than reading a
+   stored copy back (which would have to re-decode every [Exact] body
+   anyway), so nothing is persisted.  A runtime
+   write into the library's image marks the whole library dirty, after
+   which every summary in it is rejected and calls fall back to emulation
+   (self-modifying / decrypting native code). *)
 
 type verdict =
   | Exact
@@ -39,20 +39,11 @@ type fn = {
 }
 
 type lib = {
-  l_digest : string;
-  l_mode : Cpu.mode;
   l_base : int;
   l_limit : int;
   l_fns : (int, fn) Hashtbl.t;  (* keyed by entry address *)
   mutable l_dirty : bool;  (* image written at runtime: reject everything *)
 }
-
-let digest_of prog =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%d:%s:%s" (Asm.base prog)
-          (match Asm.mode prog with Cpu.Arm -> "arm" | Cpu.Thumb -> "thumb")
-          (Bytes.to_string (Asm.code prog))))
 
 let max_body = 64
 
@@ -244,9 +235,7 @@ let derive mem prog =
       if not (Hashtbl.mem fns addr) then
         Hashtbl.replace fns addr (summarize cpu mem ~name addr))
     (Asm.symbols prog);
-  { l_digest = digest_of prog;
-    l_mode = Asm.mode prog;
-    l_base = Asm.base prog;
+  { l_base = Asm.base prog;
     l_limit = Asm.base prog + Asm.size prog - 1;
     l_fns = fns;
     l_dirty = false }
@@ -300,91 +289,3 @@ let apply_masks engine pairs =
       done;
       Taint_engine.set_reg engine rd !tag)
     pairs
-
-(* ---- persistence (digest-keyed, via the pipeline result cache) ---- *)
-
-let load_hook : (string -> string option) ref = ref (fun _ -> None)
-let save_hook : (string -> string -> unit) ref = ref (fun _ _ -> ())
-
-let set_persistence ~load ~save =
-  load_hook := load;
-  save_hook := save
-
-let verdict_to_json = function
-  | Exact -> Json.Str "exact"
-  | Emulate reason -> Json.Obj [ ("emulate", Json.Str reason) ]
-
-let verdict_of_json = function
-  | Json.Str "exact" -> Some Exact
-  | Json.Obj _ as o -> (
-    match Json.member "emulate" o with
-    | Some (Json.Str reason) -> Some (Emulate reason)
-    | _ -> None)
-  | _ -> None
-
-let fn_to_json f =
-  Json.Obj
-    [ ("name", Json.Str f.f_name);
-      ("addr", Json.Int f.f_addr);
-      ("len", Json.Int f.f_len);
-      ("verdict", verdict_to_json f.f_verdict) ]
-
-let to_json l =
-  let fns = Hashtbl.fold (fun _ f acc -> f :: acc) l.l_fns [] in
-  let fns = List.sort (fun a b -> compare a.f_addr b.f_addr) fns in
-  Json.Obj
-    [ ("digest", Json.Str l.l_digest);
-      ("fns", Json.List (List.map fn_to_json fns)) ]
-
-(* The codec stores metadata only: instruction arrays and masks are
-   re-derived by decoding the (digest-verified) image, which cannot
-   disagree with a fresh derivation. *)
-let of_json mem prog j =
-  let open Json in
-  match (member "digest" j, member "fns" j) with
-  | Some (Str digest), Some (List fns) when digest = digest_of prog -> (
-    let cpu = Cpu.create () in
-    cpu.Cpu.mode <- Asm.mode prog;
-    let tbl = Hashtbl.create 16 in
-    let ok = ref true in
-    List.iter
-      (fun fj ->
-        match (member "name" fj, member "addr" fj, member "verdict" fj) with
-        | Some (Str name), Some (Int addr), Some vj -> (
-          match verdict_of_json vj with
-          | Some (Emulate reason) ->
-            let len =
-              match member "len" fj with Some (Int n) -> n | _ -> 0
-            in
-            Hashtbl.replace tbl addr (emulate name addr len reason)
-          | Some Exact ->
-            (* rebuild body + masks from the image itself *)
-            Hashtbl.replace tbl addr (summarize cpu mem ~name addr)
-          | None -> ok := false)
-        | _ -> ok := false)
-      fns;
-    if not !ok then None
-    else
-      Some
-        { l_digest = digest;
-          l_mode = Asm.mode prog;
-          l_base = Asm.base prog;
-          l_limit = Asm.base prog + Asm.size prog - 1;
-          l_fns = tbl;
-          l_dirty = false })
-  | _ -> None
-
-let derive_cached mem prog =
-  let digest = digest_of prog in
-  match !load_hook digest with
-  | Some payload -> (
-    match Json.of_string payload with
-    | Ok j -> (
-      match of_json mem prog j with
-      | Some l -> l
-      | None -> derive mem prog)
-    | Error _ -> derive mem prog)
-  | None ->
-    let l = derive mem prog in
-    !save_hook digest (Json.to_string (to_json l));
-    l

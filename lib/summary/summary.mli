@@ -1,7 +1,8 @@
 (** Per-exported-function native taint summaries.
 
-    Derived once per library image (digest-keyed, persisted through a
-    pluggable cache hook), a summary classifies each exported function as
+    Derived from the loaded image each time a library is loaded (nothing
+    is persisted: deriving is cheaper than reading a stored copy back),
+    a summary classifies each exported function as
     [Exact] — straight-line, unconditional, register-only, so the JNI
     bridge can apply its fused taint transfer and replay its value effect
     without emulating the body — or [Emulate reason], in which case the
@@ -26,16 +27,8 @@ type fn = {
 
 type lib
 
-val digest_of : Ndroid_arm.Asm.program -> string
-(** Hex digest of (base, mode, code bytes) — the persistence key. *)
-
 val derive : Ndroid_arm.Memory.t -> Ndroid_arm.Asm.program -> lib
 (** Summarize every exported symbol of a loaded image. *)
-
-val derive_cached : Ndroid_arm.Memory.t -> Ndroid_arm.Asm.program -> lib
-(** Like {!derive}, but consult the persistence hooks first and save on a
-    miss.  A digest mismatch or undecodable payload falls back to a fresh
-    derivation. *)
 
 val find : lib -> int -> fn option
 (** Look up by entry address (interworking bit ignored). *)
@@ -58,15 +51,3 @@ val apply_masks : Ndroid_emulator.Taint_engine.t -> (int * int) array -> unit
 (** Write the summary's taint effect into the shadow registers: each
     (rd, mask) pair's post-taint is the union of the entry taints the mask
     names. *)
-
-val set_persistence :
-  load:(string -> string option) -> save:(string -> string -> unit) -> unit
-(** Install digest-keyed persistence (the pipeline wires this to its result
-    cache).  Set-once at startup; defaults to no persistence. *)
-
-val to_json : lib -> Ndroid_report.Json.t
-val of_json :
-  Ndroid_arm.Memory.t -> Ndroid_arm.Asm.program -> Ndroid_report.Json.t ->
-  lib option
-(** Metadata-only codec: [Exact] bodies and masks are re-derived from the
-    (digest-verified) image on load. *)

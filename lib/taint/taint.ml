@@ -4,6 +4,7 @@ let clear = 0
 let is_clear t = t = 0
 let is_tainted t = t <> 0
 let union a b = a lor b
+let unions ts = List.fold_left union clear ts
 let ( ||| ) = union
 let inter a b = a land b
 let subset a b = a land b = a

@@ -27,6 +27,9 @@ val union : t -> t -> t
 (** [union a b] combines two tags; this is the "OR" operation used by every
     propagation rule in Table V. *)
 
+val unions : t list -> t
+(** The union of every tag in the list; [clear] for none. *)
+
 val ( ||| ) : t -> t -> t
 (** Infix alias for {!union}. *)
 

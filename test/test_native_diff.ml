@@ -1,7 +1,7 @@
 (* Differential tests for the two native taint paths: random
    straight-line native bodies run through (1) the per-instruction trace
-   loop and (2) — when the body is summary-exact — the digest-cached
-   native taint summary.  Return values and the full taint state must
+   loop and (2) — when the body is summary-exact — the native taint
+   summary derived from the loaded image.  Return values and the full taint state must
    agree across both paths (oracle pattern of test_dalvik_diff.ml).
 
    Plus deterministic regressions for the decode cache and self-modifying
@@ -282,35 +282,6 @@ let test_detection_agreement () =
         configs)
     (Ndroid_apps.Cases.all @ Ndroid_apps.Case_studies.all)
 
-(* ---------------- summary persistence through the pipeline cache -------- *)
-
-let test_summary_cache_roundtrip () =
-  let module Cache = Ndroid_pipeline.Cache in
-  let module Analysis = Ndroid_pipeline.Analysis in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "ndroid-test-summary-cache"
-  in
-  (match Sys.readdir dir with
-   | names -> Array.iter (fun n -> Sys.remove (Filename.concat dir n)) names
-   | exception Sys_error _ -> ());
-  let cache = Cache.create ~dir in
-  Analysis.enable_summary_cache cache;
-  let prog = selfmod_prog () in
-  let m = Machine.create () in
-  Machine.load_program m prog;
-  let lib1 = Summary.derive_cached (Machine.mem m) prog in
-  let misses_after_first = Cache.misses cache in
-  let lib2 = Summary.derive_cached (Machine.mem m) prog in
-  Summary.set_persistence ~load:(fun _ -> None) ~save:(fun _ _ -> ());
-  Alcotest.(check bool) "first derivation missed" true (misses_after_first > 0);
-  Alcotest.(check bool) "second derivation hit the cache" true
-    (Cache.hits cache > 0);
-  Alcotest.(check int) "same exact count" (Summary.exact_count lib1)
-    (Summary.exact_count lib2);
-  match Sys.readdir dir with
-  | names -> Array.iter (fun n -> Sys.remove (Filename.concat dir n)) names
-  | exception Sys_error _ -> ()
-
 (* ---------------- ARM and Thumb entries to the same bytes ---------------- *)
 
 (* [mov r0, #1; bx lr] entered in ARM mode, then at the same address in
@@ -349,7 +320,5 @@ let suite =
       test_summary_staleness;
     Alcotest.test_case "detection apps agree across all taint paths" `Quick
       test_detection_agreement;
-    Alcotest.test_case "summaries persist through the pipeline cache" `Quick
-      test_summary_cache_roundtrip;
     Alcotest.test_case "decode cache keys ARM and Thumb apart" `Quick
       test_decode_mode_key ]

@@ -308,16 +308,36 @@ let with_temp_cache f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f ~dir (Cache.create ~dir))
 
+let bundled_dynamic =
+  List.mapi
+    (fun i name ->
+      { Task.t_id = i; t_subject = Task.Bundled name; t_mode = Task.Dynamic;
+        t_fault = None })
+    Registry.names
+
+(* The disk holds verdicts and nothing else: every probe is a task's, and
+   every file is a task's report — dynamic runs load native libraries,
+   and their summaries leave no entry behind. *)
 let test_cache_hit_miss () =
-  with_temp_cache (fun ~dir:_ cache ->
-      let tasks = slice 64 in
-      let cold = Pool.run_inline ~cache tasks in
-      Alcotest.(check int) "cold run misses everything" 64 (Cache.misses cache);
-      Alcotest.(check int) "cold run hits nothing" 0 (Cache.hits cache);
-      let warm = Pool.run_inline ~cache tasks in
-      Alcotest.(check int) "warm run hits everything" 64 (Cache.hits cache);
-      Alcotest.(check string) "cached verdicts identical" (json_of cold)
-        (json_of warm))
+  List.iter
+    (fun (label, tasks) ->
+      with_temp_cache (fun ~dir cache ->
+          let n = List.length tasks in
+          let cold = Pool.run_inline ~cache tasks in
+          Alcotest.(check int) (label ^ ": cold run misses every task") n
+            (Cache.misses cache);
+          Alcotest.(check int) (label ^ ": cold run hits nothing") 0
+            (Cache.hits cache);
+          Alcotest.(check int) (label ^ ": one file per task") n
+            (Array.length (Sys.readdir dir));
+          let warm = Pool.run_inline ~cache tasks in
+          Alcotest.(check int) (label ^ ": warm run hits every task") n
+            (Cache.hits cache);
+          Alcotest.(check int) (label ^ ": warm run misses nothing") n
+            (Cache.misses cache);
+          Alcotest.(check string) (label ^ ": cached verdicts identical")
+            (json_of cold) (json_of warm)))
+    [ ("market static", slice 64); ("bundled dynamic", bundled_dynamic) ]
 
 let test_cache_feeds_pool () =
   with_temp_cache (fun ~dir:_ cache ->
